@@ -93,20 +93,24 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _paired_masks(pred_dir: Path, truth_dir: Path):
-    pred_files = _mask_files(pred_dir)
-    truth_files = _mask_files(truth_dir)
-    if len(pred_files) != len(truth_files):
+def _paired_masks(pred_dir: Path, truth_dir: Path) -> list[tuple[Path, Path]]:
+    """(predicted, truth) mask files matched by file name; any unmatched name is an error."""
+    pred = {p.name: p for p in _mask_files(pred_dir)}
+    truth = {p.name: p for p in _mask_files(truth_dir)}
+    only_pred = sorted(pred.keys() - truth.keys())
+    only_truth = sorted(truth.keys() - pred.keys())
+    if only_pred or only_truth:
         raise DataMismatchError(
-            f"{len(pred_files)} predicted vs {len(truth_files)} truth masks"
+            f"{len(pred)} predicted vs {len(truth)} truth masks; "
+            f"without truth: {', '.join(only_pred) or 'none'}; "
+            f"without prediction: {', '.join(only_truth) or 'none'}"
         )
-    return pred_files, truth_files
+    return [(pred[name], truth[name]) for name in sorted(pred)]
 
 
 def cmd_evaluate(args) -> int:
-    pred_files, truth_files = _paired_masks(Path(args.pred), Path(args.truth))
     counts = np.zeros((3, 3), dtype=np.int64)
-    for pred_path, truth_path in zip(pred_files, truth_files):
+    for pred_path, truth_path in _paired_masks(Path(args.pred), Path(args.truth)):
         pred, truth = read_mask(pred_path), read_mask(truth_path)
         if pred.shape != truth.shape:
             raise DataMismatchError(
@@ -130,20 +134,18 @@ def cmd_evaluate(args) -> int:
 
 def cmd_volumetry(args) -> int:
     pixels_m, v_m = read_reference(Path(args.reference))
-    pred_files = _mask_files(Path(args.pred))
-    pred_masks = [read_mask(p) for p in pred_files]
+    if args.truth is None:
+        pairs = [(p, None) for p in _mask_files(Path(args.pred))]
+    else:
+        pairs = _paired_masks(Path(args.pred), Path(args.truth))
+    pred_masks = [read_mask(p) for p, _ in pairs]
     pixels_c = count_class_pixels(pred_masks, 1)
     report = calibrate_volume(pixels_c, pixels_m, v_m)
 
     counts = None
     if args.truth is not None:
-        truth_files = _mask_files(Path(args.truth))
-        if len(truth_files) != len(pred_files):
-            raise DataMismatchError(
-                f"{len(pred_files)} predicted vs {len(truth_files)} truth masks"
-            )
         counts = np.zeros((3, 3), dtype=np.int64)
-        for pred, truth_path in zip(pred_masks, truth_files):
+        for pred, (_, truth_path) in zip(pred_masks, pairs):
             counts += confusion(pred, read_mask(truth_path))
 
     write_report(report, counts, args.out)

@@ -1,4 +1,4 @@
-"""Image/mask I/O, resampling, label encoding, splitting, and phantom synthesis.
+"""Image/mask I/O, label encoding, splitting, and phantom synthesis.
 
 Grayscale images are (H, W) uint16 arrays, label masks (H, W) uint8 arrays
 over {0 background, 1 bone, 2 implant}. Interchange format is binary PGM
@@ -126,68 +126,6 @@ def write_pgm(arr: np.ndarray, path) -> None:
     header = f"P5\n{arr.shape[1]} {arr.shape[0]}\n{maxval}\n".encode("ascii")
     with open(path, "wb") as fh:
         fh.write(header + payload)
-
-
-# ---------------------------------------------------------------------------
-# Resampling
-
-
-def _overlap_weights(src: int, dst: int) -> np.ndarray:
-    """(dst, src) row-stochastic matrix of fractional footprint overlaps."""
-    scale = src / dst
-    weights = np.zeros((dst, src), dtype=np.float64)
-    for j in range(dst):
-        lo, hi = j * scale, (j + 1) * scale
-        r0, r1 = int(np.floor(lo)), min(int(np.ceil(hi)), src)
-        for r in range(r0, r1):
-            w = min(hi, r + 1.0) - max(lo, float(r))
-            if w > 0:
-                weights[j, r] = w
-    return weights / scale
-
-
-def downscale(image: np.ndarray, target: int) -> np.ndarray:
-    """Area-weighted average resampling of an image to target x target.
-
-    Output pixels are the mean over their (possibly fractional) source
-    footprint, rounded to the nearest integer intensity.
-    """
-    image = np.asarray(image)
-    if image.ndim != 2:
-        raise ValidationError(f"image must be 2-d, got shape {image.shape}")
-    h, w = image.shape
-    if target < 1:
-        raise ValidationError(f"target size must be >= 1, got {target}")
-    if target > h or target > w:
-        raise ValidationError(f"target {target} exceeds source extents {h}x{w}")
-    wr = _overlap_weights(h, target)
-    wc = _overlap_weights(w, target)
-    means = wr @ image.astype(np.float64) @ wc.T
-    return np.rint(means).astype(np.uint16)
-
-
-def downscale_mask(mask: np.ndarray, target: int) -> np.ndarray:
-    """Label-aware downscaling: majority label per footprint.
-
-    A label owning a strict majority (> half) of the output pixel's source
-    area wins; otherwise the tie resolves by priority implant > bone >
-    background among the labels present, protecting thin structures.
-    """
-    mask = validate_mask(mask)
-    h, w = mask.shape
-    if target < 1:
-        raise ValidationError(f"target size must be >= 1, got {target}")
-    if target > h or target > w:
-        raise ValidationError(f"target {target} exceeds source extents {h}x{w}")
-    wr = _overlap_weights(h, target)
-    wc = _overlap_weights(w, target)
-    share = np.stack(
-        [wr @ (mask == label).astype(np.float64) @ wc.T for label in range(3)]
-    )
-    tol = 1e-12
-    majority = share.max(axis=0) > 0.5 * share.sum(axis=0)
-    fallback = np.where(share[2] > tol, 2, np.where(share[1] > tol, 1, 0))
-    return np.where(majority, share.argmax(axis=0), fallback).astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------

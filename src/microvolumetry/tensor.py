@@ -7,11 +7,11 @@ here add the validation and error contracts the higher layers rely on.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ShapeError, ValidationError
+from .errors import ShapeError
 
 NUM_CLASSES = 3
 
@@ -35,44 +35,6 @@ class Shape4(NamedTuple):
     def validate(self) -> None:
         if min(self) < 1:
             raise ShapeError(f"all Shape4 extents must be >= 1, got {tuple(self)}")
-
-
-def validate_shape(shape: Sequence[int]) -> tuple[int, ...]:
-    """Check a shape is non-empty with every extent a positive integer."""
-    shape = tuple(shape)
-    if len(shape) == 0:
-        raise ShapeError("shape must have at least one extent")
-    for extent in shape:
-        if not isinstance(extent, (int, np.integer)) or extent < 1:
-            raise ShapeError(f"invalid extent {extent!r} in shape {shape}")
-    return shape
-
-
-def fill(shape: Sequence[int], value: float) -> np.ndarray:
-    """Tensor of the given shape with every element equal to `value`."""
-    shape = validate_shape(shape)
-    value = float(value)
-    if not np.isfinite(value):
-        raise ValidationError(f"fill value must be finite, got {value}")
-    return np.full(shape, value, dtype=np.float64)
-
-
-def elementwise(a: np.ndarray, b: np.ndarray, op: str) -> np.ndarray:
-    """Elementwise add/sub/mul of two same-shape tensors."""
-    if a.shape != b.shape:
-        raise ShapeError(f"elementwise shape mismatch: {a.shape} vs {b.shape}")
-    if op == "add":
-        return np.add(a, b, dtype=np.float64)
-    if op == "sub":
-        return np.subtract(a, b, dtype=np.float64)
-    if op == "mul":
-        return np.multiply(a, b, dtype=np.float64)
-    raise ValidationError(f"unknown elementwise op {op!r}")
-
-
-def reduce_sum(a: np.ndarray) -> float:
-    """Sum of all elements as a Python float."""
-    return float(np.asarray(a, dtype=np.float64).sum())
 
 
 def argmax_channel(a: np.ndarray) -> np.ndarray:

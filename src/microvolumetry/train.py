@@ -16,6 +16,7 @@ import numpy as np
 
 from .data import (
     DatasetSplit,
+    encode_one_hot,
     image_to_tensor,
     load_manifest,
     read_mask,
@@ -27,23 +28,18 @@ from .layers import categorical_cross_entropy
 from .metrics import confusion
 from .optim import adam_step, init_adam
 from .tensor import argmax_channel
-from .unet import OUTPUT_HEADS, UNetConfig, backward, build, forward, save_checkpoint
+from .unet import UNetConfig, backward, build, forward, save_checkpoint
 
 METRICS_HEADER = "epoch,train_loss,train_acc,val_loss,val_acc"
 
 
-@dataclass
-class RunConfig:
+@dataclass(frozen=True)
+class RunConfig(UNetConfig):
+    """A training run: the UNetConfig network fields plus the run's own."""
+
     dataset: str = ""
     checkpoint: str = "model.ckpt"
     metrics: str = "metrics.csv"
-    depth: int = 4
-    base_channels: int = 64
-    in_channels: int = 1
-    num_classes: int = 3
-    output_head: str = "sigmoid"
-    input_size: int = 512
-    use_skips: bool = True
     epochs: int = 50
     batch_size: int = 2
     lr: float = 1e-3
@@ -54,37 +50,28 @@ class RunConfig:
     split: str = "paper_95_5"
 
     def __post_init__(self):
+        super().__post_init__()
         if self.epochs < 1:
             raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.output_head not in OUTPUT_HEADS:
-            raise ValidationError(f"output_head must be one of {OUTPUT_HEADS}")
         if not self.dataset:
             raise ValidationError("config must set 'dataset'")
 
     def unet(self) -> UNetConfig:
-        return UNetConfig(
-            depth=self.depth,
-            base_channels=self.base_channels,
-            in_channels=self.in_channels,
-            num_classes=self.num_classes,
-            output_head=self.output_head,
-            input_size=self.input_size,
-            use_skips=self.use_skips,
-        )
+        return UNetConfig(**{f.name: getattr(self, f.name) for f in fields(UNetConfig)})
 
 
+_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
 _PATH_KEYS = ("dataset", "checkpoint", "metrics")
-_STR_KEYS = _PATH_KEYS + ("output_head", "split")
-_BOOL_KEYS = ("use_skips",)
-_FLOAT_KEYS = ("lr", "beta1", "beta2", "epsilon")
 
 
 def _coerce(key: str, raw: str):
-    if key in _STR_KEYS:
+    """Parse a raw value as the type of the key's default."""
+    kind = type(_DEFAULTS[key])
+    if kind is str:
         return raw
-    if key in _BOOL_KEYS:
+    if kind is bool:
         low = raw.lower()
         if low in ("true", "yes", "1"):
             return True
@@ -92,7 +79,7 @@ def _coerce(key: str, raw: str):
             return False
         raise ValidationError(f"config key '{key}' wants a boolean, got {raw!r}")
     try:
-        return float(raw) if key in _FLOAT_KEYS else int(raw)
+        return kind(raw)
     except ValueError:
         raise ValidationError(f"config key '{key}' has non-numeric value {raw!r}") from None
 
@@ -100,7 +87,6 @@ def _coerce(key: str, raw: str):
 def parse_config(path) -> RunConfig:
     """Read a flat key = value config; unknown or duplicate keys are errors."""
     path = Path(path)
-    known = {f.name for f in fields(RunConfig)}
     seen: dict[str, object] = {}
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         line = line.partition("#")[0].strip()
@@ -110,7 +96,7 @@ def parse_config(path) -> RunConfig:
         key, raw = key.strip(), raw.strip()
         if not sep or not key:
             raise ValidationError(f"{path}:{lineno}: expected 'key = value'")
-        if key not in known:
+        if key not in _DEFAULTS:
             raise ValidationError(f"{path}:{lineno}: unknown config key '{key}'")
         if key in seen:
             raise ValidationError(f"{path}:{lineno}: duplicate config key '{key}'")
@@ -156,7 +142,7 @@ def _batches(indices, batch_size: int):
 def _make_batch(items, idx):
     x = np.stack([items[i][0] for i in idx])[:, None, :, :]
     masks = np.stack([items[i][1] for i in idx])
-    target = (masks[:, None, :, :] == np.arange(3)[None, :, None, None]).astype(np.float64)
+    target = np.concatenate([encode_one_hot(m) for m in masks])
     return x, target, masks
 
 

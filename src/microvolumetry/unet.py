@@ -132,6 +132,40 @@ def _check_params(params: Params, config: UNetConfig) -> None:
             raise ShapeError(f"parameter {name} has shape {w.shape}/{b.shape}, expected {wshape}")
 
 
+def _spec(w: np.ndarray) -> ConvSpec:
+    """Same-padded, stride-1 geometry of a conv layer, read off its weights."""
+    return ConvSpec(w.shape[1], w.shape[0], kernel=w.shape[2])
+
+
+def _double_conv(params: Params, stage: str, x: np.ndarray, cache: dict | None) -> np.ndarray:
+    """conv1 -> ReLU -> conv2 -> ReLU of one stage; caches what backward needs.
+
+    Only the output is returned, so without a cache nothing else of the stage
+    outlives the call.
+    """
+    w1, b1 = params[f"{stage}.conv1"]
+    w2, b2 = params[f"{stage}.conv2"]
+    a1 = relu(conv2d_forward(x, w1, b1, _spec(w1)))
+    a2 = relu(conv2d_forward(a1, w2, b2, _spec(w2)))
+    if cache is not None:
+        cache[stage] = (x, a1, a2)
+    return a2
+
+
+def _double_conv_backward(
+    params: Params, stage: str, cache: dict, d: np.ndarray, grads: Params
+) -> np.ndarray:
+    """Backward of `_double_conv`: stores both conv gradients, returns d_input."""
+    x, a1, a2 = cache[stage]
+    w1, _ = params[f"{stage}.conv1"]
+    w2, _ = params[f"{stage}.conv2"]
+    g2 = conv2d_backward(a1, w2, _spec(w2), relu_backward(a2, d))
+    g1 = conv2d_backward(x, w1, _spec(w1), relu_backward(a1, g2.d_input))
+    grads[f"{stage}.conv1"] = (g1.d_weights, g1.d_bias)
+    grads[f"{stage}.conv2"] = (g2.d_weights, g2.d_bias)
+    return g1.d_input
+
+
 def forward(
     params: Params, config: UNetConfig, batch: np.ndarray, want_cache: bool = True
 ) -> tuple[np.ndarray, dict | None]:
@@ -148,46 +182,29 @@ def forward(
         )
     _check_params(params, config)
 
-    cache: dict | None = {"enc": [], "dec": {}} if want_cache else None
+    cache: dict | None = {} if want_cache else None
     x = batch
     skips: list[np.ndarray | None] = []
     for i in range(config.depth):
-        w1, b1 = params[f"enc{i}.conv1"]
-        w2, b2 = params[f"enc{i}.conv2"]
-        conv1_in = x
-        a1 = relu(conv2d_forward(conv1_in, w1, b1, ConvSpec(w1.shape[1], w1.shape[0])))
-        a2 = relu(conv2d_forward(a1, w2, b2, ConvSpec(w2.shape[1], w2.shape[0])))
+        a2 = _double_conv(params, f"enc{i}", x, cache)
         x, idx = maxpool2_forward(a2)
         skips.append(a2)
         if cache is not None:
-            cache["enc"].append({"in": conv1_in, "a1": a1, "a2": a2, "idx": idx})
+            cache[f"enc{i}.pool"] = idx
 
-    w1, b1 = params["bottleneck.conv1"]
-    w2, b2 = params["bottleneck.conv2"]
-    bott_in = x
-    a1 = relu(conv2d_forward(bott_in, w1, b1, ConvSpec(w1.shape[1], w1.shape[0])))
-    x = relu(conv2d_forward(a1, w2, b2, ConvSpec(w2.shape[1], w2.shape[0])))
-    if cache is not None:
-        cache["bottleneck"] = {"in": bott_in, "a1": a1, "a2": x}
+    x = _double_conv(params, "bottleneck", x, cache)
 
     for i in reversed(range(config.depth)):
         wt, bt = params[f"dec{i}.tconv"]
-        w1, b1 = params[f"dec{i}.conv1"]
-        w2, b2 = params[f"dec{i}.conv2"]
-        tconv_in = x
-        up = tconv2_forward(tconv_in, wt, bt)
-        if config.use_skips:
-            joined = concat_channels(skips[i], up)
-        else:
-            joined = up
-        skips[i] = None  # free once consumed
-        a1 = relu(conv2d_forward(joined, w1, b1, ConvSpec(w1.shape[1], w1.shape[0])))
-        x = relu(conv2d_forward(a1, w2, b2, ConvSpec(w2.shape[1], w2.shape[0])))
+        up = tconv2_forward(x, wt, bt)
         if cache is not None:
-            cache["dec"][i] = {"tconv_in": tconv_in, "joined": joined, "a1": a1, "a2": x}
+            cache[f"dec{i}.tconv"] = x
+        joined = concat_channels(skips[i], up) if config.use_skips else up
+        skips[i] = None  # free once consumed
+        x = _double_conv(params, f"dec{i}", joined, cache)
 
     wh, bh = params["head"]
-    pre = conv2d_forward(x, wh, bh, ConvSpec(wh.shape[1], wh.shape[0], kernel=1))
+    pre = conv2d_forward(x, wh, bh, _spec(wh))
     out = sigmoid(pre) if config.output_head == "sigmoid" else softmax_channel(pre)
     if cache is not None:
         cache["head_in"] = x
@@ -210,56 +227,27 @@ def backward(params: Params, config: UNetConfig, cache: dict, d_scores: np.ndarr
     else:
         d_pre = softmax_channel_backward(out, d_scores)
     wh, _ = params["head"]
-    g = conv2d_backward(cache["head_in"], wh, ConvSpec(wh.shape[1], wh.shape[0], kernel=1), d_pre)
+    g = conv2d_backward(cache["head_in"], wh, _spec(wh), d_pre)
     grads["head"] = (g.d_weights, g.d_bias)
     d = g.d_input
 
     pending_skip: dict[int, np.ndarray] = {}
     for i in range(config.depth):  # reverse of the forward decoder order
-        e = cache["dec"][i]
-        wt, _ = params[f"dec{i}.tconv"]
-        w1, _ = params[f"dec{i}.conv1"]
-        w2, _ = params[f"dec{i}.conv2"]
-        d2 = relu_backward(e["a2"], d)
-        g2 = conv2d_backward(e["a1"], w2, ConvSpec(w2.shape[1], w2.shape[0]), d2)
-        d1 = relu_backward(e["a1"], g2.d_input)
-        g1 = conv2d_backward(e["joined"], w1, ConvSpec(w1.shape[1], w1.shape[0]), d1)
+        d = _double_conv_backward(params, f"dec{i}", cache, d, grads)
         if config.use_skips:
-            d_skip, d_up = split_channels(g1.d_input, _enc_channels(config, i))
-            pending_skip[i] = d_skip
-        else:
-            d_up = g1.d_input
-        gt = tconv2_backward(e["tconv_in"], wt, d_up)
+            pending_skip[i], d = split_channels(d, _enc_channels(config, i))
+        wt, _ = params[f"dec{i}.tconv"]
+        gt = tconv2_backward(cache[f"dec{i}.tconv"], wt, d)
         grads[f"dec{i}.tconv"] = (gt.d_weights, gt.d_bias)
-        grads[f"dec{i}.conv1"] = (g1.d_weights, g1.d_bias)
-        grads[f"dec{i}.conv2"] = (g2.d_weights, g2.d_bias)
         d = gt.d_input
 
-    e = cache["bottleneck"]
-    w1, _ = params["bottleneck.conv1"]
-    w2, _ = params["bottleneck.conv2"]
-    d2 = relu_backward(e["a2"], d)
-    g2 = conv2d_backward(e["a1"], w2, ConvSpec(w2.shape[1], w2.shape[0]), d2)
-    d1 = relu_backward(e["a1"], g2.d_input)
-    g1 = conv2d_backward(e["in"], w1, ConvSpec(w1.shape[1], w1.shape[0]), d1)
-    grads["bottleneck.conv1"] = (g1.d_weights, g1.d_bias)
-    grads["bottleneck.conv2"] = (g2.d_weights, g2.d_bias)
-    d = g1.d_input
+    d = _double_conv_backward(params, "bottleneck", cache, d, grads)
 
     for i in reversed(range(config.depth)):
-        e = cache["enc"][i]
-        w1, _ = params[f"enc{i}.conv1"]
-        w2, _ = params[f"enc{i}.conv2"]
-        d_a2 = maxpool2_backward(e["idx"], d)
+        d = maxpool2_backward(cache[f"enc{i}.pool"], d)
         if config.use_skips:
-            d_a2 = d_a2 + pending_skip[i]
-        d2 = relu_backward(e["a2"], d_a2)
-        g2 = conv2d_backward(e["a1"], w2, ConvSpec(w2.shape[1], w2.shape[0]), d2)
-        d1 = relu_backward(e["a1"], g2.d_input)
-        g1 = conv2d_backward(e["in"], w1, ConvSpec(w1.shape[1], w1.shape[0]), d1)
-        grads[f"enc{i}.conv1"] = (g1.d_weights, g1.d_bias)
-        grads[f"enc{i}.conv2"] = (g2.d_weights, g2.d_bias)
-        d = g1.d_input
+            d = d + pending_skip.pop(i)
+        d = _double_conv_backward(params, f"enc{i}", cache, d, grads)
 
     return {name: grads[name] for name in params}
 

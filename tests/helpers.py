@@ -75,9 +75,10 @@ def hazard_margins(params: dict, cfg: mv.UNetConfig, xb: np.ndarray) -> tuple[fl
     return relu_m, pool_m
 
 
-def e2e_case(head: str, seed: int):
+def e2e_case(head: str, seed: int, depth: int = 1, use_skips: bool = True):
     """Deterministic end-to-end check instance with verified kink margins."""
-    cfg = mv.UNetConfig(depth=1, base_channels=2, input_size=8, output_head=head)
+    cfg = mv.UNetConfig(depth=depth, base_channels=2, input_size=8, output_head=head,
+                        use_skips=use_skips)
     params = perturbed_params(cfg, seed)
     for attempt in range(8):
         rng = np.random.default_rng(seed + 500 + 10000 * attempt)
@@ -90,8 +91,8 @@ def e2e_case(head: str, seed: int):
     raise AssertionError(f"no kink-safe input found for head={head} seed={seed}")
 
 
-def e2e_gradient_error(head: str, seed: int) -> float:
-    cfg, params, xb, tb = e2e_case(head, seed)
+def e2e_gradient_error(head: str, seed: int, depth: int = 1, use_skips: bool = True) -> float:
+    cfg, params, xb, tb = e2e_case(head, seed, depth, use_skips)
     names = list(params)
 
     def fn(arrs):

@@ -24,6 +24,14 @@ def gen_args(out, count=4, size=16, seed=3):
     ]
 
 
+def renamed_copy(masks, out):
+    """The same masks under different file names."""
+    out.mkdir()
+    for src in sorted(masks.glob("*.pgm")):
+        shutil.copy(src, out / src.name.replace("phantom", "renamed"))
+    return out
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     """One tiny gen+train shared by the predict/evaluate/volumetry tests."""
@@ -199,6 +207,14 @@ class TestEvaluate:
                      "--out", str(tmp_path / "eval.csv")])
         assert code == 4
 
+    def test_same_count_different_names_exits_4(self, trained, tmp_path, capsys):
+        pred = renamed_copy(trained / "data" / "masks", tmp_path / "pred")
+        code = main(["evaluate", "--pred", str(pred),
+                     "--truth", str(trained / "data" / "masks"),
+                     "--out", str(tmp_path / "eval.csv")])
+        assert code == 4
+        assert "renamed_00000.pgm" in capsys.readouterr().err
+
     def test_empty_pred_dir_exits_4(self, trained, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -254,6 +270,15 @@ class TestVolumetry:
         assert code == 0
         cells = out.read_text().splitlines()[1].split(",")
         assert cells[5] == "1.000000" and cells[6:] == ["1.000000"] * 3
+
+    def test_truth_with_different_names_exits_4(self, trained, tmp_path, capsys):
+        truth = trained / "data" / "masks"
+        pred = renamed_copy(truth, tmp_path / "pred")
+        ref = write_reference(tmp_path / "ref.txt", pixels=1000, volume="10.0")
+        code = main(["volumetry", "--pred", str(pred), "--truth", str(truth),
+                     "--reference", str(ref), "--out", str(tmp_path / "vol.csv")])
+        assert code == 4
+        assert "phantom_00000.pgm" in capsys.readouterr().err
 
     def test_malformed_reference_exits_2_naming_line(self, trained, tmp_path, capsys):
         ref = tmp_path / "ref.txt"

@@ -85,61 +85,6 @@ class TestPgmBytes:
             mv.write_pgm(np.array([[3]], dtype=np.uint8), tmp_path / "f.pgm")
 
 
-class TestDownscale:
-    def test_integer_ratio_averages_blocks(self):
-        img = np.array([[0, 1], [2, 3]], dtype=np.uint16)
-        # block mean 1.5 rounds to the even neighbor 2
-        assert mv.downscale(img, 1)[0, 0] == 2
-
-    def test_fractional_ratio_weights_overlap(self):
-        # rows [0,30,60] at 3->2: (0 + 30/2)/1.5 = 10 and (30/2 + 60)/1.5 = 50
-        img = np.array([[0, 0, 0], [30, 30, 30], [60, 60, 60]], dtype=np.uint16)
-        assert np.array_equal(mv.downscale(img, 2), [[10, 10], [50, 50]])
-
-    def test_identity_when_target_equals_source(self):
-        img = np.random.default_rng(2).integers(0, MAXVAL, (7, 7)).astype(np.uint16)
-        assert np.array_equal(mv.downscale(img, 7), img)
-
-    def test_preserves_flat_images_exactly(self):
-        img = np.full((32, 32), 1234, dtype=np.uint16)
-        assert (mv.downscale(img, 5) == 1234).all()
-
-    def test_rejects_bad_targets(self):
-        img = np.zeros((4, 4), dtype=np.uint16)
-        with pytest.raises(ValidationError):
-            mv.downscale(img, 0)
-        with pytest.raises(ValidationError):
-            mv.downscale(img, 5)
-
-
-class TestDownscaleMask:
-    def test_majority_label_wins(self):
-        mask = np.array([[1, 1], [1, 0]], dtype=np.uint8)
-        assert mv.downscale_mask(mask, 1)[0, 0] == 1
-
-    def test_tie_prefers_rarer_structures(self):
-        # no strict majority in {0,0,1,2}: implant (2) outranks bone and background
-        mask = np.array([[0, 0], [1, 2]], dtype=np.uint8)
-        assert mv.downscale_mask(mask, 1)[0, 0] == 2
-        # 50/50 bone vs implant also resolves to implant
-        mask = np.array([[1, 1], [2, 2]], dtype=np.uint8)
-        assert mv.downscale_mask(mask, 1)[0, 0] == 2
-        # bone vs background tie keeps bone
-        mask = np.array([[0, 0], [1, 1]], dtype=np.uint8)
-        assert mv.downscale_mask(mask, 1)[0, 0] == 1
-
-    def test_output_stays_in_label_set(self):
-        rng = np.random.default_rng(3)
-        mask = rng.integers(0, 3, (64, 64)).astype(np.uint8)
-        out = mv.downscale_mask(mask, 24)
-        assert out.shape == (24, 24)
-        assert set(np.unique(out)) <= {0, 1, 2}
-
-    def test_identity_when_target_equals_source(self):
-        mask = np.random.default_rng(4).integers(0, 3, (6, 6)).astype(np.uint8)
-        assert np.array_equal(mv.downscale_mask(mask, 6), mask)
-
-
 class TestOneHot:
     def test_shape_and_channel_sums(self):
         mask = np.random.default_rng(5).integers(0, 3, (8, 8)).astype(np.uint8)

@@ -1,16 +1,8 @@
 import numpy as np
 import pytest
 
-from microvolumetry.errors import ShapeError, ValidationError
-from microvolumetry.tensor import (
-    NUM_CLASSES,
-    Shape4,
-    argmax_channel,
-    elementwise,
-    fill,
-    reduce_sum,
-    validate_shape,
-)
+from microvolumetry.errors import ShapeError
+from microvolumetry.tensor import NUM_CLASSES, Shape4, argmax_channel
 
 
 def test_shape4_of_accepts_4d():
@@ -28,46 +20,6 @@ def test_shape4_rejects_wrong_rank(shape):
 def test_shape4_rejects_zero_extent():
     with pytest.raises(ShapeError):
         Shape4(1, 0, 4, 4).validate()
-
-
-def test_validate_shape():
-    assert validate_shape((2, 3)) == (2, 3)
-    with pytest.raises(ShapeError):
-        validate_shape(())
-    with pytest.raises(ShapeError):
-        validate_shape((2, -1))
-    with pytest.raises(ShapeError):
-        validate_shape((2, 1.5))
-
-
-def test_fill():
-    t = fill((2, 2), 3.5)
-    assert t.dtype == np.float64
-    assert (t == 3.5).all()
-    with pytest.raises(ValidationError):
-        fill((2, 2), float("nan"))
-
-
-def test_elementwise_ops():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    b = np.array([[10.0, 20.0], [30.0, 40.0]])
-    assert (elementwise(a, b, "add") == a + b).all()
-    assert (elementwise(a, b, "sub") == a - b).all()
-    assert (elementwise(a, b, "mul") == a * b).all()
-
-
-def test_elementwise_errors():
-    a, b = np.zeros((2, 2)), np.zeros((2, 3))
-    with pytest.raises(ShapeError):
-        elementwise(a, b, "add")
-    with pytest.raises(ValidationError):
-        elementwise(a, a, "div")
-
-
-def test_reduce_sum():
-    # 1+2+...+6 = 21
-    assert reduce_sum(np.arange(1, 7).reshape(2, 3)) == 21.0
-    assert isinstance(reduce_sum(np.ones((2, 2))), float)
 
 
 def test_argmax_channel_picks_largest():

@@ -84,6 +84,10 @@ class TestRunConfigValidation:
         with pytest.raises(ValidationError):
             mv.RunConfig(dataset="d", output_head="linear")
 
+    def test_rejects_invalid_network_geometry(self):
+        with pytest.raises(ValidationError):
+            mv.RunConfig(dataset="d", depth=2, input_size=30)
+
     def test_unet_view_carries_geometry(self):
         cfg = mv.RunConfig(dataset="d", depth=2, base_channels=8, input_size=32)
         net = cfg.unet()
