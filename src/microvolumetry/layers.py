@@ -5,6 +5,12 @@ routes where it matters: conv2d has a GEMM/im2col fast path and a naive
 nested-loop oracle that the fast path must match to 1e-12; every backward
 pass is checked against central finite differences by `gradient_check`.
 
+The conv backward handles stride 1 only (the only stride the network
+uses) and never scatters patches back: d_input is itself a correlation of
+the zero-padded d_output with the flipped, channel-transposed kernel, run
+through the same im2col + GEMM path as the forward. That path writes the
+zero padding straight into the patch matrix; no padded copy is made.
+
 All arrays are float64, laid out (batch, channels, height, width).
 """
 
@@ -78,44 +84,69 @@ def _check_conv_args(x, weights, bias, spec: ConvSpec) -> Shape4:
     return s
 
 
-def _pad(x: np.ndarray, p: int) -> np.ndarray:
-    if p == 0:
-        return x
-    return np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-
-
 def _chunk_rows(n: int, c: int, k: int, wo: int) -> int:
     per_row = n * c * k * k * wo * 8
     return max(1, _COL_CHUNK_BYTES // max(per_row, 1))
 
 
-def _im2col(xp: np.ndarray, k: int, stride: int, r0: int, r1: int, wo: int) -> np.ndarray:
-    """Patch matrix (C*k*k, N*rows*wo) for output rows [r0, r1)."""
-    n, c = xp.shape[:2]
-    rows = r1 - r0
-    col = np.empty((c, k, k, n, rows, wo), dtype=np.float64)
-    for dy in range(k):
-        y0 = r0 * stride + dy
-        for dx in range(k):
-            patch = xp[:, :, y0 : y0 + rows * stride : stride, dx : dx + wo * stride : stride]
-            col[:, dy, dx] = patch.transpose(1, 0, 2, 3)
-    return col.reshape(c * k * k, n * rows * wo)
+def _inside(lo: int, hi: int, offset: int, stride: int, size: int) -> tuple[int, int]:
+    """The run [a, b) of outputs i in [lo, hi) whose input i*stride + offset is in [0, size)."""
+    a = min(max(lo, -(offset // stride)), hi)
+    b = max(min(hi, (size - 1 - offset) // stride + 1), a)
+    return a, b
+
+
+def _im2col(x: np.ndarray, k: int, stride: int, p: int, r0: int, r1: int, wo: int) -> np.ndarray:
+    """Batch-major patch matrix (N, C*k*k, rows*wo) for output rows [r0, r1).
+
+    x is read as if zero-padded by p on each side (cropped by -p when p < 0):
+    taps that fall outside x are zeroed in the patch matrix, so no padded
+    copy of x is ever made.
+    """
+    n, c, h, w = x.shape
+    col = np.empty((n, c, k, k, r1 - r0, wo), dtype=np.float64)
+    ys = [_inside(r0, r1, d - p, stride, h) for d in range(k)]
+    xs = [_inside(0, wo, d - p, stride, w) for d in range(k)]
+    for d, ((ya, yb), (xa, xb)) in enumerate(zip(ys, xs)):
+        col[:, :, d, :, : ya - r0] = 0.0
+        col[:, :, d, :, yb - r0 :] = 0.0
+        col[:, :, :, d, :, :xa] = 0.0
+        col[:, :, :, d, :, xb:] = 0.0
+    for dy, (ya, yb) in enumerate(ys):
+        for dx, (xa, xb) in enumerate(xs):
+            if ya < yb and xa < xb:
+                y0, x0 = ya * stride + dy - p, xa * stride + dx - p
+                col[:, :, dy, dx, ya - r0 : yb - r0, xa:xb] = x[
+                    :, :, y0 : y0 + (yb - ya - 1) * stride + 1 : stride,
+                    x0 : x0 + (xb - xa - 1) * stride + 1 : stride,
+                ]
+    return col.reshape(n, c * k * k, (r1 - r0) * wo)
+
+
+def _correlate(
+    x: np.ndarray, wmat: np.ndarray, k: int, stride: int, p: int, ho: int, wo: int
+) -> np.ndarray:
+    """Bias-free cross-correlation of x, zero-padded by p, with `wmat` (Cout, C*k*k).
+
+    Runs one GEMM per image and row chunk, each writing straight into its
+    slice of the (N, Cout, ho, wo) result.
+    """
+    n, c = x.shape[:2]
+    out = np.empty((n, wmat.shape[0], ho * wo), dtype=np.float64)
+    step = _chunk_rows(n, c, k, wo)
+    for r0 in range(0, ho, step):
+        r1 = min(ho, r0 + step)
+        cols = _im2col(x, k, stride, p, r0, r1, wo)
+        np.matmul(wmat, cols, out=out[:, :, r0 * wo : r1 * wo])
+    return out.reshape(n, wmat.shape[0], ho, wo)
 
 
 def conv2d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray, spec: ConvSpec) -> np.ndarray:
     """Cross-correlation with zero padding, via im2col + GEMM."""
     s = _check_conv_args(x, weights, bias, spec)
-    k, stride = spec.kernel, spec.stride
     ho, wo = spec.out_size(s.height, s.width)
-    xp = _pad(x, spec.padding)
     wmat = weights.reshape(spec.out_channels, -1)
-    out = np.empty((s.batch, spec.out_channels, ho, wo), dtype=np.float64)
-    step = _chunk_rows(s.batch, s.channels, k, wo)
-    for r0 in range(0, ho, step):
-        r1 = min(ho, r0 + step)
-        cols = _im2col(xp, k, stride, r0, r1, wo)
-        om = wmat @ cols
-        out[:, :, r0:r1, :] = om.reshape(spec.out_channels, s.batch, r1 - r0, wo).transpose(1, 0, 2, 3)
+    out = _correlate(x, wmat, spec.kernel, spec.stride, spec.padding, ho, wo)
     out += bias.reshape(1, -1, 1, 1)
     return out
 
@@ -150,36 +181,34 @@ def conv2d_forward_naive(x: np.ndarray, weights: np.ndarray, bias: np.ndarray, s
 
 
 def conv2d_backward(x: np.ndarray, weights: np.ndarray, spec: ConvSpec, d_output: np.ndarray) -> LayerGrad:
-    """Exact gradients of conv2d_forward w.r.t. input, weights, and bias."""
+    """Exact gradients of conv2d_forward w.r.t. input, weights, and bias.
+
+    Stride 1 only. d_weights sums d_output[b] @ cols[b].T over images and
+    row chunks; d_input correlates d_output, padded by k-1-p (cropped when
+    p > k-1), with the flipped, channel-transposed kernel.
+    """
     s = _check_conv_args(x, weights, None, spec)
-    k, stride = spec.kernel, spec.stride
+    if spec.stride != 1:
+        raise ValidationError(f"conv2d_backward supports stride 1 only, got stride {spec.stride}")
+    k, p = spec.kernel, spec.padding
     ho, wo = spec.out_size(s.height, s.width)
     if d_output.shape != (s.batch, spec.out_channels, ho, wo):
         raise ShapeError(
             f"d_output shape {d_output.shape} != {(s.batch, spec.out_channels, ho, wo)}"
         )
-    xp = _pad(x, spec.padding)
-    wmat = weights.reshape(spec.out_channels, -1)
-    d_wmat = np.zeros_like(wmat)
-    d_xp = np.zeros_like(xp)
+    d_om = d_output.reshape(s.batch, spec.out_channels, ho * wo)
+    d_wmat = np.zeros((spec.out_channels, s.channels * k * k))
     step = _chunk_rows(s.batch, s.channels, k, wo)
     for r0 in range(0, ho, step):
         r1 = min(ho, r0 + step)
-        rows = r1 - r0
-        d_om = d_output[:, :, r0:r1, :].transpose(1, 0, 2, 3).reshape(spec.out_channels, -1)
-        cols = _im2col(xp, k, stride, r0, r1, wo)
-        d_wmat += d_om @ cols.T
-        d_col = (wmat.T @ d_om).reshape(s.channels, k, k, s.batch, rows, wo)
-        for dy in range(k):
-            y0 = r0 * stride + dy
-            for dx in range(k):
-                d_xp[:, :, y0 : y0 + rows * stride : stride, dx : dx + wo * stride : stride] += (
-                    d_col[:, dy, dx].transpose(1, 0, 2, 3)
-                )
-    p = spec.padding
-    d_x = d_xp[:, :, p : p + s.height, p : p + s.width] if p else d_xp
+        cols = _im2col(x, k, 1, p, r0, r1, wo)
+        for b in range(s.batch):
+            d_wmat += d_om[b, :, r0 * wo : r1 * wo] @ cols[b].T
+    del cols  # free the patch matrix before the d_input correlation builds its own
+    w_flip = weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(s.channels, -1)
+    d_x = _correlate(d_output, w_flip, k, 1, k - 1 - p, s.height, s.width)
     d_bias = d_output.sum(axis=(0, 2, 3))
-    return LayerGrad(np.ascontiguousarray(d_x), d_wmat.reshape(weights.shape), d_bias)
+    return LayerGrad(d_x, d_wmat.reshape(weights.shape), d_bias)
 
 
 def maxpool2_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -197,8 +226,9 @@ def maxpool2_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         .transpose(0, 1, 2, 4, 3, 5)
         .reshape(s.batch, s.channels, h2, w2, 4)
     )
-    idx = windows.argmax(axis=-1).astype(np.uint8)
-    return windows.max(axis=-1), idx
+    idx = windows.argmax(axis=-1)
+    pooled = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
+    return pooled, idx.astype(np.uint8)
 
 
 def maxpool2_backward(idx: np.ndarray, d_output: np.ndarray) -> np.ndarray:
@@ -334,24 +364,17 @@ def categorical_cross_entropy(pred: np.ndarray, target: np.ndarray) -> tuple[flo
     return float(loss), d_pred
 
 
-def max_relative_error(a: np.ndarray, b: np.ndarray) -> float:
-    """max over elements of |a-b| / max(|a|, |b|, 1e-8)."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-8)
-    return float((np.abs(a - b) / denom).max())
-
-
 def gradient_check(
     fn: Callable[[Sequence[np.ndarray]], tuple[float, Sequence[np.ndarray]]],
     arrays: Sequence[np.ndarray],
     step: float = 1e-6,
+    floor: float = 1e-8,
 ) -> float:
     """Compare analytic gradients against central finite differences.
 
     `fn(arrays)` must return (scalar loss, gradients aligned with `arrays`).
     Every element of every array is perturbed by ±step; returns the maximum
-    relative error between the analytic and numeric gradients.
+    over elements of |analytic - numeric| / max(|analytic|, |numeric|, floor).
     """
     arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
     _, analytic = fn(arrays)
@@ -368,5 +391,7 @@ def gradient_check(
             down, _ = fn(arrays)
             flat[j] = orig
             num_flat[j] = (up - down) / (2.0 * step)
-        worst = max(worst, max_relative_error(np.asarray(analytic[i]), numeric))
+        a = np.asarray(analytic[i], dtype=np.float64)
+        denom = np.maximum(np.maximum(np.abs(a), np.abs(numeric)), floor)
+        worst = max(worst, float((np.abs(a - numeric) / denom).max()))
     return worst

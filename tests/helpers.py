@@ -91,7 +91,8 @@ def e2e_case(head: str, seed: int, depth: int = 1, use_skips: bool = True):
     raise AssertionError(f"no kink-safe input found for head={head} seed={seed}")
 
 
-def e2e_gradient_error(head: str, seed: int, depth: int = 1, use_skips: bool = True) -> float:
+def e2e_loss(head: str, seed: int, depth: int = 1, use_skips: bool = True):
+    """(fn, arrays) for `gradient_check` over every parameter of an e2e_case network."""
     cfg, params, xb, tb = e2e_case(head, seed, depth, use_skips)
     names = list(params)
 
@@ -102,7 +103,11 @@ def e2e_gradient_error(head: str, seed: int, depth: int = 1, use_skips: bool = T
         g = mv.backward(p, cfg, cache, d)
         return loss, [a for n in names for a in g[n]]
 
-    return gradient_check(fn, [a for n in names for a in params[n]], step=FD_STEP)
+    return fn, [a for n in names for a in params[n]]
+
+
+def e2e_gradient_error(head: str, seed: int, depth: int = 1, use_skips: bool = True) -> float:
+    return gradient_check(*e2e_loss(head, seed, depth, use_skips), step=FD_STEP)
 
 
 def _safe_draw(rng, shape, min_abs=KINK_MARGIN):
@@ -128,6 +133,25 @@ def conv_gradient_error(seed: int, padding=None) -> float:
         return float((out * r).sum()), [g.d_input, g.d_weights, g.d_bias]
 
     return gradient_check(fn, [x, w, b], step=FD_STEP)
+
+
+def conv_backward_reference(x, weights, padding, d_output):
+    """Independent stride-1 conv backward: per-tap einsums, scattered into a padded d_input."""
+    k = weights.shape[2]
+    h, w = x.shape[2:]
+    ho, wo = d_output.shape[2:]
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    d_xp = np.zeros_like(xp)
+    d_w = np.zeros_like(weights)
+    for dy in range(k):
+        for dx in range(k):
+            window = xp[:, :, dy : dy + ho, dx : dx + wo]
+            d_w[:, :, dy, dx] = np.einsum("bohw,bchw->oc", d_output, window)
+            d_xp[:, :, dy : dy + ho, dx : dx + wo] += np.einsum(
+                "bohw,oc->bchw", d_output, weights[:, :, dy, dx]
+            )
+    d_x = d_xp[:, :, padding : padding + h, padding : padding + w]
+    return d_x, d_w, d_output.sum(axis=(0, 2, 3))
 
 
 def tconv_gradient_error(seed: int) -> float:

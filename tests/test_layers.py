@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import microvolumetry.layers as L
+from helpers import conv_backward_reference
 from microvolumetry.errors import ConsistencyError, ShapeError, ValidationError
 from microvolumetry.layers import ConvSpec
 
@@ -96,6 +97,8 @@ class TestConvOracle:
             ((2, 2, 9, 9), 3, 2, 1),
             ((1, 3, 8, 8), 1, 1, 0),
             ((2, 1, 6, 6), 5, 1, 2),
+            ((1, 2, 4, 5), 3, 1, 3),
+            ((1, 1, 5, 5), 3, 2, 4),
         ],
     )
     def test_fast_matches_naive_other_geometries(self, shape, kernel, stride, padding):
@@ -108,6 +111,75 @@ class TestConvOracle:
         naive = L.conv2d_forward_naive(x, w, b, spec)
         assert fast.shape == naive.shape
         assert np.abs(fast - naive).max() < 1e-12
+
+
+def _conv_case(seed, shape, kernel, padding, out_channels=3):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(shape)
+    w = rng.standard_normal((out_channels, shape[1], kernel, kernel))
+    b = rng.standard_normal(out_channels)
+    spec = ConvSpec(shape[1], out_channels, kernel=kernel, padding=padding)
+    d = rng.standard_normal((shape[0], out_channels) + spec.out_size(*shape[2:]))
+    return x, w, b, spec, d
+
+
+class TestConvBackward:
+    @pytest.mark.parametrize(
+        "kernel,padding", [(k, p) for k in (1, 3, 5) for p in range(k // 2 + 1)]
+    )
+    def test_matches_reference(self, kernel, padding):
+        x, w, _, spec, d = _conv_case(kernel + padding, (2, 4, 9, 7), kernel, padding)
+        got = L.conv2d_backward(x, w, spec, d)
+        for a, b in zip(got, conv_backward_reference(x, w, padding, d)):
+            assert a.shape == b.shape
+            assert np.abs(a - b).max() < 1e-12
+
+    @pytest.mark.parametrize("kernel,padding", [(1, 1), (3, 3), (3, 4)])
+    def test_padding_beyond_kernel_crops(self, kernel, padding):
+        # outputs that see only padding carry no gradient back to the input
+        x, w, _, spec, d = _conv_case(7, (1, 2, 5, 6), kernel, padding)
+        got = L.conv2d_backward(x, w, spec, d)
+        for a, b in zip(got, conv_backward_reference(x, w, padding, d)):
+            assert a.shape == b.shape
+            assert np.abs(a - b).max() < 1e-12
+
+    def test_rejects_stride_above_one(self):
+        spec = ConvSpec(1, 1, kernel=2, stride=2, padding=0)
+        with pytest.raises(ValidationError, match="stride"):
+            L.conv2d_backward(np.zeros((1, 1, 4, 4)), np.zeros((1, 1, 2, 2)), spec,
+                              np.zeros((1, 1, 2, 2)))
+
+
+class TestChunkedConv:
+    """A 512x512 slice splits its im2col columns into row chunks; force that small."""
+
+    # two images x 3 channels x 3x3 taps: one row of 8 output columns, or two of 4
+    CHUNK_BYTES = 2 * 3 * 9 * 8 * 8
+
+    @pytest.fixture
+    def tiny_chunks(self, monkeypatch):
+        monkeypatch.setattr(L, "_COL_CHUNK_BYTES", self.CHUNK_BYTES)
+
+    @pytest.mark.parametrize("stride,padding", [(1, 1), (1, 0), (2, 1), (2, 2)])
+    def test_forward_matches_naive(self, tiny_chunks, stride, padding):
+        rng = np.random.default_rng(stride + padding)
+        x = rng.standard_normal((2, 3, 10, 8))
+        w = rng.standard_normal((4, 3, 3, 3))
+        b = rng.standard_normal(4)
+        spec = ConvSpec(3, 4, stride=stride, padding=padding)
+        ho, wo = spec.out_size(10, 8)
+        assert L._chunk_rows(2, 3, 3, wo) < ho
+        fast = L.conv2d_forward(x, w, b, spec)
+        assert np.abs(fast - L.conv2d_forward_naive(x, w, b, spec)).max() < 1e-12
+
+    def test_backward_matches_single_chunk(self, monkeypatch):
+        x, w, _, spec, d = _conv_case(3, (2, 3, 10, 8), 3, 1, out_channels=4)
+        whole = L.conv2d_backward(x, w, spec, d)
+        monkeypatch.setattr(L, "_COL_CHUNK_BYTES", self.CHUNK_BYTES)
+        assert L._chunk_rows(2, 3, 3, 8) == 1 and L._chunk_rows(2, 4, 3, 8) == 1
+        chunked = L.conv2d_backward(x, w, spec, d)
+        for a, b in zip(chunked, whole):
+            assert np.abs(a - b).max() < 1e-12
 
 
 class TestMaxPool:
@@ -125,6 +197,11 @@ class TestMaxPool:
         # window entries are ordered (0,0),(0,1),(1,0),(1,1); ties take the first
         assert idx.dtype == np.uint8
         assert np.array_equal(idx[0, 0], [[0, 0], [2, 0]])
+
+    def test_nan_wins_its_window(self):
+        x = np.array([[1.0, np.nan], [np.nan, 2.0]]).reshape(1, 1, 2, 2)
+        out, idx = L.maxpool2_forward(x)
+        assert np.isnan(out[0, 0, 0, 0]) and idx[0, 0, 0, 0] == 1
 
     def test_gradient_routes_to_argmax(self):
         x = np.array([[1.0, 2.0], [3.0, 0.0]]).reshape(1, 1, 2, 2)

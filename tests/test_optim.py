@@ -74,6 +74,30 @@ def test_matches_reference_over_several_steps():
         assert np.allclose(a, b, rtol=1e-12, atol=1e-15)
 
 
+def test_update_is_bit_identical_to_reference():
+    # a large array, a Fortran-order one and a 0-d one
+    rng = np.random.default_rng(8)
+    params = {
+        "a": (rng.standard_normal((1000, 100)), rng.standard_normal(5)),
+        "b": (np.asfortranarray(rng.standard_normal((40, 30))),),
+        "c": (np.array(0.5),),
+    }
+    mirror = [a.copy() for t in params.values() for a in t]
+    grad_seq = [
+        {k: tuple(rng.standard_normal(a.shape) for a in t) for k, t in params.items()}
+        for _ in range(4)
+    ]
+    state = init_adam(params, lr=0.01, beta1=0.8, beta2=0.95, epsilon=1e-6)
+    for g in grad_seq:
+        adam_step(params, g, state)
+    expected = reference_adam(
+        mirror, [[a for t in g.values() for a in t] for g in grad_seq],
+        lr=0.01, beta1=0.8, beta2=0.95, eps=1e-6,
+    )
+    for a, b in zip([a for t in params.values() for a in t], expected):
+        assert np.array_equal(a, b)
+
+
 def test_step_counter_and_in_place_update():
     params = make_tree(5)
     handles = [a for t in params.values() for a in t]
