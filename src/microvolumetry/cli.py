@@ -14,7 +14,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data import PhantomSpec, image_to_tensor, load_manifest, make_dataset, read_mask, read_pgm, write_pgm
+from .data import (
+    MAXVAL,
+    PhantomSpec,
+    image_to_tensor,
+    load_manifest,
+    make_dataset,
+    read_mask,
+    read_pgm,
+    write_pgm,
+)
 from .errors import (
     CheckpointError,
     DataMismatchError,
@@ -75,19 +84,27 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    """Segment every image with the checkpoint's network, run in float32.
+
+    The weights are cast once, here rather than inside `forward`, so every
+    call receives the same arrays (perfbench keys its layer spans by them);
+    the float64 copies are dropped. Each image tensor is cast the same way.
+    """
     params, net_cfg = load_checkpoint(args.checkpoint)
+    params = {name: (w.astype(np.float32), b.astype(np.float32)) for name, (w, b) in params.items()}
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     images = _input_images(Path(args.images))
     for path in images:
-        image = read_pgm(path)
+        image = read_pgm(path, maxval=MAXVAL)
         want = (net_cfg.input_size, net_cfg.input_size)
         if image.shape != want:
             raise DataMismatchError(
                 f"{path}: image is {image.shape[0]}x{image.shape[1]}, "
                 f"checkpoint wants {want[0]}x{want[1]}"
             )
-        scores, _ = forward(params, net_cfg, image_to_tensor(image), want_cache=False)
+        x = image_to_tensor(image).astype(np.float32)
+        scores, _ = forward(params, net_cfg, x, want_cache=False)
         write_pgm(argmax_channel(scores)[0], out_dir / path.name)
     print(f"wrote {len(images)} masks to {out_dir}")
     return 0

@@ -76,21 +76,27 @@ def _header_int(blob: bytes, off: int, what: str) -> tuple[int, int]:
     return value, off
 
 
-def read_pgm(path) -> np.ndarray:
-    """Read a binary (P5) PGM into a (H, W) uint16 array."""
+def read_pgm(path, maxval: int | None = None) -> np.ndarray:
+    """Read a binary (P5) PGM into a (H, W) uint16 array.
+
+    Samples are returned as stored, never rescaled, so a caller that gives
+    `maxval` gets a PgmFormatError unless the header declares exactly it.
+    """
     blob = Path(path).read_bytes()
     magic, off = _next_token(blob, 0)
     if magic != b"P5":
         raise PgmFormatError(f"bad magic {magic!r} at byte 0, expected b'P5'")
     width, off = _header_int(blob, off, "width")
     height, off = _header_int(blob, off, "height")
-    maxval, off = _header_int(blob, off, "maxval")
+    declared, off = _header_int(blob, off, "maxval")
     if width < 1 or height < 1:
         raise PgmFormatError(f"invalid dimensions {width}x{height} in header ending at byte {off}")
-    if maxval < 1 or maxval > MAXVAL:
-        raise PgmFormatError(f"maxval {maxval} out of range 1..{MAXVAL} at byte {off}")
+    if declared < 1 or declared > MAXVAL:
+        raise PgmFormatError(f"maxval {declared} out of range 1..{MAXVAL} at byte {off}")
+    if maxval is not None and declared != maxval:
+        raise PgmFormatError(f"{path}: maxval {declared}, expected {maxval}")
     off += 1  # the single whitespace byte separating header from payload
-    two_byte = maxval > 255
+    two_byte = declared > 255
     need = width * height * (2 if two_byte else 1)
     payload = blob[off : off + need]
     if len(payload) < need:

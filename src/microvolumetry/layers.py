@@ -11,7 +11,8 @@ the zero-padded d_output with the flipped, channel-transposed kernel, run
 through the same im2col + GEMM path as the forward. That path writes the
 zero padding straight into the patch matrix; no padded copy is made.
 
-All arrays are float64, laid out (batch, channels, height, width).
+Arrays are laid out (batch, channels, height, width). Every kernel returns
+the dtype of its input: training runs in float64, `predict` in float32.
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ def _im2col(x: np.ndarray, k: int, stride: int, p: int, r0: int, r1: int, wo: in
     copy of x is ever made.
     """
     n, c, h, w = x.shape
-    col = np.empty((n, c, k, k, r1 - r0, wo), dtype=np.float64)
+    col = np.empty((n, c, k, k, r1 - r0, wo), dtype=x.dtype)
     ys = [_inside(r0, r1, d - p, stride, h) for d in range(k)]
     xs = [_inside(0, wo, d - p, stride, w) for d in range(k)]
     for d, ((ya, yb), (xa, xb)) in enumerate(zip(ys, xs)):
@@ -132,7 +133,7 @@ def _correlate(
     slice of the (N, Cout, ho, wo) result.
     """
     n, c = x.shape[:2]
-    out = np.empty((n, wmat.shape[0], ho * wo), dtype=np.float64)
+    out = np.empty((n, wmat.shape[0], ho * wo), dtype=x.dtype)
     step = _chunk_rows(n, c, k, wo)
     for r0 in range(0, ho, step):
         r1 = min(ho, r0 + step)

@@ -1,8 +1,9 @@
 """Dense tensor primitives used by every other module.
 
-Tensors are plain C-order float64 numpy arrays: row-major flat storage with
-shape metadata, exactly what the rest of the pipeline assumes. The helpers
-here add the validation and error contracts the higher layers rely on.
+Tensors are plain C-order numpy arrays: row-major flat storage with shape
+metadata, exactly what the rest of the pipeline assumes. They are float64
+in training and float32 in `predict`. The helpers here add the validation
+and error contracts the higher layers rely on.
 """
 
 from __future__ import annotations

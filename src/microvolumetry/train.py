@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import (
+    MAXVAL,
     DatasetSplit,
     encode_one_hot,
     image_to_tensor,
@@ -87,8 +88,12 @@ def _coerce(key: str, raw: str):
 def parse_config(path) -> RunConfig:
     """Read a flat key = value config; unknown or duplicate keys are errors."""
     path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     seen: dict[str, object] = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.partition("#")[0].strip()
         if not line:
             continue
@@ -103,7 +108,10 @@ def parse_config(path) -> RunConfig:
         seen[key] = _coerce(key, raw)
     for key in _PATH_KEYS:
         if key in seen:
-            seen[key] = str((path.parent / str(seen[key])).resolve())
+            try:
+                seen[key] = str((path.parent / str(seen[key])).resolve())
+            except ValueError:  # e.g. an embedded NUL byte
+                raise ValidationError(f"{path}: config key '{key}' is not a usable path") from None
     return RunConfig(**seen)
 
 
@@ -121,7 +129,7 @@ def _load_items(pairs, input_size: int):
     """Read every (image, mask) pair into memory, checking sizes up front."""
     items = []
     for img_path, mask_path in pairs:
-        image = read_pgm(img_path)
+        image = read_pgm(img_path, maxval=MAXVAL)
         mask = read_mask(mask_path)
         if image.shape != (input_size, input_size):
             raise DataMismatchError(

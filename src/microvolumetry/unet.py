@@ -64,9 +64,15 @@ class UNetConfig:
             raise ValidationError(f"this pipeline is fixed at {NUM_CLASSES} classes")
         if self.output_head not in OUTPUT_HEADS:
             raise ValidationError(f"output_head must be one of {OUTPUT_HEADS}")
-        if self.input_size < 1 or self.input_size % (2**self.depth) != 0:
+        # 2^depth > input_size exactly when depth >= its bit length; testing
+        # that first keeps a corrupt 32-bit depth from building a huge power.
+        if (
+            self.input_size < 1
+            or self.depth >= int(self.input_size).bit_length()
+            or self.input_size % (2**self.depth) != 0
+        ):
             raise ValidationError(
-                f"input_size {self.input_size} not divisible by 2^depth = {2 ** self.depth}"
+                f"input_size {self.input_size} not divisible by 2^depth (depth {self.depth})"
             )
 
 
@@ -340,7 +346,10 @@ def load_checkpoint(path, expected_config: UNetConfig | None = None) -> tuple[Pa
         (name_len,) = take("<I", f"entry {e} name length")
         if off + name_len > len(blob):
             raise CheckpointError(f"truncated checkpoint while reading entry {e} name at byte {off}")
-        name = blob[off : off + name_len].decode("utf-8")
+        try:
+            name = blob[off : off + name_len].decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"entry {e} name at byte {off} is not UTF-8") from None
         off += name_len
         (rank,) = take("<I", f"{name} rank")
         shape = take(f"<{rank}I", f"{name} extents") if rank else ()

@@ -11,6 +11,10 @@ trusting the finite-difference comparison.
 
 from __future__ import annotations
 
+import struct
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 import microvolumetry as mv
@@ -261,3 +265,33 @@ def baseline_bone_count(image) -> int:
     bone band's lower edge. Counts streak artifacts and implant as bone,
     which is exactly the overestimation the network is meant to avoid."""
     return int((image.astype(np.float64) / data_mod.MAXVAL >= data_mod.BONE_BAND[0]).sum())
+
+
+# ---------------------------------------------------------------------------
+# Malformed inputs that once crashed a parser with an unnamed error
+
+CKPT_DEPTH_AT = 12  # u32 after the 8-byte magic and the u32 version
+CKPT_FIRST_NAME_AT = 45  # magic, version, six config u32s, head byte, entry count, name length
+
+
+def checkpoint_bytes(depth=1, base=1, size=2, seed=0) -> bytes:
+    """A valid checkpoint of a tiny network, as bytes."""
+    cfg = mv.UNetConfig(depth=depth, base_channels=base, input_size=size)
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "m.ckpt"
+        mv.save_checkpoint(mv.build(cfg, seed), cfg, path)
+        return path.read_bytes()
+
+
+def overwrite(blob: bytes, at: int, new: bytes) -> bytes:
+    return blob[:at] + new + blob[at + len(new) :]
+
+
+# depth 0xF998E147: computing 2**depth took 83 s before failing in an f-string
+HUGE_DEPTH_CHECKPOINT = overwrite(checkpoint_bytes(), CKPT_DEPTH_AT, struct.pack("<I", 0xF998E147))
+# first tensor name starts with 0xFF: raised UnicodeDecodeError
+NON_UTF8_NAME_CHECKPOINT = overwrite(checkpoint_bytes(), CKPT_FIRST_NAME_AT, b"\xff")
+# Latin-1 e-acute in a comment: raised UnicodeDecodeError
+NON_UTF8_CONFIG = b"dataset = d\n# caf\xe9\nepochs = 1\n"
+# a valid 8-bit image, which reads as near-black if scaled as 16-bit
+EIGHT_BIT_IMAGE = b"P5\n2 2\n255\n\xff\x00\x80\x07"

@@ -14,7 +14,7 @@ import microvolumetry as mv
 import microvolumetry.train as train_mod
 from microvolumetry.cli import main
 
-from helpers import write_config
+from helpers import EIGHT_BIT_IMAGE, HUGE_DEPTH_CHECKPOINT, NON_UTF8_CONFIG, write_config
 
 
 def gen_args(out, count=4, size=16, seed=3):
@@ -91,6 +91,12 @@ class TestTrain:
         assert main(["train", "--config", str(cfg)]) == 2
         assert "momentum" in capsys.readouterr().err
 
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(NON_UTF8_CONFIG)
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert "not UTF-8" in capsys.readouterr().err
+
     def test_zero_epochs_exits_2(self, tmp_path):
         cfg = write_config(tmp_path / "run.cfg", dataset="d", epochs=0)
         assert main(["train", "--config", str(cfg)]) == 2
@@ -132,6 +138,17 @@ class TestPredict:
             mask = mv.read_mask(p)
             assert mask.shape == (16, 16)
 
+    def test_float32_masks_equal_float64_forward(self, trained, tmp_path):
+        out = tmp_path / "pred"
+        assert main(["predict", "--checkpoint", str(trained / "model.ckpt"),
+                     "--images", str(trained / "data"), "--out", str(out)]) == 0
+        params, cfg = mv.load_checkpoint(trained / "model.ckpt")
+        for image_path, _ in mv.load_manifest(trained / "data"):
+            x = mv.image_to_tensor(mv.read_pgm(image_path))
+            scores, _ = mv.forward(params, cfg, x, want_cache=False)
+            expected = mv.argmax_channel(scores)[0]
+            assert np.array_equal(mv.read_mask(out / image_path.name), expected)
+
     def test_deterministic_output(self, trained, tmp_path):
         args = ["predict", "--checkpoint", str(trained / "model.ckpt"),
                 "--images", str(trained / "data")]
@@ -152,6 +169,19 @@ class TestPredict:
         err = capsys.readouterr().err
         assert "big.pgm" in err and "32x32" in err and "16x16" in err
 
+    def test_eight_bit_image_names_file_and_maxval_and_exits_4(self, trained, tmp_path, capsys):
+        images = tmp_path / "img"
+        images.mkdir()
+        (images / "scan8.pgm").write_bytes(EIGHT_BIT_IMAGE)
+        code = main([
+            "predict", "--checkpoint", str(trained / "model.ckpt"),
+            "--images", str(images), "--out", str(tmp_path / "pred"),
+        ])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "scan8.pgm" in err and "maxval 255" in err
+        assert not list((tmp_path / "pred").glob("*.pgm"))
+
     def test_missing_checkpoint_exits_3(self, tmp_path):
         code = main([
             "predict", "--checkpoint", str(tmp_path / "no.ckpt"),
@@ -167,6 +197,16 @@ class TestPredict:
             "--images", str(tmp_path), "--out", str(tmp_path / "pred"),
         ])
         assert code == 4
+
+    def test_huge_depth_checkpoint_exits_4(self, tmp_path, capsys):
+        bad = tmp_path / "deep.ckpt"
+        bad.write_bytes(HUGE_DEPTH_CHECKPOINT)
+        code = main([
+            "predict", "--checkpoint", str(bad),
+            "--images", str(tmp_path), "--out", str(tmp_path / "pred"),
+        ])
+        assert code == 4
+        assert "depth" in capsys.readouterr().err
 
 
 class TestEvaluate:

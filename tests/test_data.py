@@ -11,6 +11,8 @@ from microvolumetry.data import (
 )
 from microvolumetry.errors import DataMismatchError, PgmFormatError, ValidationError
 
+from helpers import EIGHT_BIT_IMAGE
+
 
 class TestPgmBytes:
     def test_image_writer_emits_big_endian_16bit(self, tmp_path):
@@ -69,6 +71,15 @@ class TestPgmBytes:
         path.write_bytes(b"P5")
         with pytest.raises(PgmFormatError):
             mv.read_pgm(path)
+
+    def test_required_maxval_rejects_other_bit_depths(self, tmp_path):
+        path = tmp_path / "eight.pgm"
+        path.write_bytes(EIGHT_BIT_IMAGE)
+        assert np.array_equal(mv.read_pgm(path), [[255, 0], [128, 7]])
+        with pytest.raises(PgmFormatError, match=r"eight\.pgm: maxval 255, expected 65535"):
+            mv.read_pgm(path, maxval=MAXVAL)
+        mv.write_pgm(np.array([[1, 2]], dtype=np.uint16), path)
+        assert np.array_equal(mv.read_pgm(path, maxval=MAXVAL), [[1, 2]])
 
     def test_read_mask_rejects_stray_labels(self, tmp_path):
         path = tmp_path / "m3.pgm"

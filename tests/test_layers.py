@@ -182,6 +182,39 @@ class TestChunkedConv:
             assert np.abs(a - b).max() < 1e-12
 
 
+class TestFloat32Conv:
+    """float32 inputs stay float32 and agree with the float64 oracle to float32 roundoff."""
+
+    # criterion 3's geometries
+    SPECS = [
+        ConvSpec(in_channels=4, out_channels=3, kernel=3),
+        ConvSpec(in_channels=4, out_channels=2, kernel=3, stride=2, padding=0),
+        ConvSpec(in_channels=2, out_channels=5, kernel=1),
+        ConvSpec(in_channels=4, out_channels=2, kernel=5, padding=2),
+    ]
+
+    @staticmethod
+    def _check(spec, shape, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(shape)
+        w = rng.standard_normal((spec.out_channels, spec.in_channels, spec.kernel, spec.kernel))
+        b = rng.standard_normal(spec.out_channels)
+        ref = L.conv2d_forward_naive(x, w, b, spec)
+        fast = L.conv2d_forward(*(a.astype(np.float32) for a in (x, w, b)), spec)
+        assert fast.dtype == np.float32
+        assert np.abs(fast - ref).max() <= 1e-5 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_matches_float64_oracle(self, index):
+        spec = self.SPECS[index]
+        self._check(spec, (2, spec.in_channels, 16, 16), seed=index)
+
+    def test_chunked_matches_float64_oracle(self, monkeypatch):
+        monkeypatch.setattr(L, "_COL_CHUNK_BYTES", TestChunkedConv.CHUNK_BYTES)
+        assert L._chunk_rows(2, 3, 3, 8) == 1
+        self._check(ConvSpec(3, 4), (2, 3, 10, 8), seed=9)
+
+
 class TestMaxPool:
     def test_values_and_first_occurrence_ties(self):
         x = np.array(

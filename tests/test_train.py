@@ -3,10 +3,10 @@ import pytest
 
 import microvolumetry as mv
 import microvolumetry.train as train_mod
-from microvolumetry.errors import DataMismatchError, DivergenceError, ValidationError
+from microvolumetry.errors import DataMismatchError, DivergenceError, PgmFormatError, ValidationError
 from microvolumetry.train import METRICS_HEADER
 
-from helpers import tiny_dataset, write_config
+from helpers import EIGHT_BIT_IMAGE, NON_UTF8_CONFIG, tiny_dataset, write_config
 
 
 class TestParseConfig:
@@ -62,6 +62,18 @@ class TestParseConfig:
     def test_non_numeric_value_rejected(self, tmp_path):
         path = write_config(tmp_path / "run.cfg", dataset="d", epochs="many")
         with pytest.raises(ValidationError):
+            mv.parse_config(path)
+
+    def test_non_utf8_file_is_a_validation_error(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(NON_UTF8_CONFIG)
+        with pytest.raises(ValidationError, match="not UTF-8"):
+            mv.parse_config(path)
+
+    def test_nul_byte_in_a_path_is_a_validation_error(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"dataset = a\x00b\n")
+        with pytest.raises(ValidationError, match="dataset"):
             mv.parse_config(path)
 
     def test_missing_file_raises_oserror(self, tmp_path):
@@ -183,6 +195,14 @@ class TestRunTraining:
     def test_wrong_image_size_names_the_file(self, tmp_path, data_dir):
         cfg = small_run_config(tmp_path, data_dir, input_size=32)
         with pytest.raises(DataMismatchError, match="phantom_00000"):
+            mv.run_training(cfg)
+
+    def test_eight_bit_image_is_rejected_naming_the_file(self, tmp_path):
+        data = tmp_path / "data"
+        tiny_dataset(data, count=4)
+        (data / "images" / "phantom_00002.pgm").write_bytes(EIGHT_BIT_IMAGE)
+        cfg = small_run_config(tmp_path / "run", data)
+        with pytest.raises(PgmFormatError, match=r"phantom_00002\.pgm: maxval 255"):
             mv.run_training(cfg)
 
     def test_dataset_without_manifest_fails_cleanly(self, tmp_path):

@@ -7,6 +7,8 @@ import microvolumetry as mv
 from microvolumetry.errors import CheckpointError, ConsistencyError, ShapeError, ValidationError
 from microvolumetry.unet import CHECKPOINT_MAGIC, param_shapes
 
+from helpers import HUGE_DEPTH_CHECKPOINT, NON_UTF8_NAME_CHECKPOINT
+
 
 def independent_parameter_count(depth, base, in_channels=1, classes=3, use_skips=True):
     """Architecture bookkeeping done the long way, as a second opinion."""
@@ -38,6 +40,15 @@ class TestConfig:
     def test_rejects_indivisible_input_size(self):
         with pytest.raises(ValidationError):
             mv.UNetConfig(depth=4, input_size=100)
+
+    def test_rejects_depth_deeper_than_input_size_bits(self):
+        # 2^depth is never computed for a depth it could not divide
+        with pytest.raises(ValidationError, match="depth 4187545927"):
+            mv.UNetConfig(depth=0xF998E147, input_size=512)
+        with pytest.raises(ValidationError):
+            mv.UNetConfig(depth=10, input_size=512)
+        assert mv.UNetConfig(depth=9, input_size=512).depth == 9
+        assert mv.UNetConfig(depth=2, input_size=np.int64(16)).depth == 2
 
     def test_rejects_unknown_head(self):
         with pytest.raises(ValidationError):
@@ -143,6 +154,16 @@ class TestForwardBackward:
         lean, none = mv.forward(params, cfg, x, want_cache=False)
         assert none is None
         assert np.array_equal(full, lean)
+
+    @pytest.mark.parametrize("head", ["sigmoid", "softmax"])
+    def test_float32_params_and_input_stay_float32(self, head):
+        cfg = mv.UNetConfig(depth=2, base_channels=2, input_size=16, output_head=head)
+        params = {name: (w.astype(np.float32), b.astype(np.float32))
+                  for name, (w, b) in mv.build(cfg, seed=4).items()}
+        x = np.random.default_rng(3).random((1, 1, 16, 16), dtype=np.float32)
+        out, cache = mv.forward(params, cfg, x)
+        assert out.dtype == np.float32
+        assert all(a.dtype == np.float32 for a in cache["bottleneck"])
 
     def test_rejects_wrong_input_geometry(self):
         cfg = mv.UNetConfig(depth=1, base_channels=4, input_size=16)
@@ -264,6 +285,18 @@ class TestCheckpoint:
         mv.save_checkpoint(params, cfg, path)
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(CheckpointError, match="payload"):
+            mv.load_checkpoint(path)
+
+    def test_huge_depth_is_a_checkpoint_error(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(HUGE_DEPTH_CHECKPOINT)
+        with pytest.raises(CheckpointError, match="config block"):
+            mv.load_checkpoint(path)
+
+    def test_non_utf8_tensor_name_is_a_checkpoint_error(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(NON_UTF8_NAME_CHECKPOINT)
+        with pytest.raises(CheckpointError, match="entry 0 name at byte 45"):
             mv.load_checkpoint(path)
 
     def test_skipless_config_round_trips(self, tmp_path):
