@@ -17,6 +17,7 @@ from . import __version__
 from .data import (
     MAXVAL,
     PhantomSpec,
+    _write_atomic,
     image_to_tensor,
     load_manifest,
     make_dataset,
@@ -144,7 +145,7 @@ def cmd_evaluate(args) -> int:
         print(f"dice_{k}: {d:.6f}")
     header = "accuracy,dice_0,dice_1,dice_2"
     row = f"{acc:.6f}," + ",".join(f"{d:.6f}" for d in dices)
-    Path(args.out).write_text(header + "\n" + row + "\n", encoding="utf-8", newline="\n")
+    _write_atomic(args.out, [f"{header}\n{row}\n".encode("utf-8")])
     print(f"metrics: {args.out}")
     return 0
 

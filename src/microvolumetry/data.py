@@ -9,6 +9,8 @@ Real scans are replaced by synthetic phantoms: a bright central implant
 disk, a textured bone annulus around it, dark background, additive noise,
 and bright radial streaks that imitate metal artifacts and are deliberately
 NOT labeled as bone.
+
+Every file the package writes goes through `_write_atomic`: whole or not at all.
 """
 
 from __future__ import annotations
@@ -117,6 +119,21 @@ def read_mask(path) -> np.ndarray:
         raise ValidationError(f"{path}: {exc}") from None
 
 
+def _write_atomic(path, parts) -> None:
+    """Write the bytes-like `parts` to a temp file beside `path`, then rename it
+    onto `path`; on any error the temp file is removed and `path` is untouched."""
+    head, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")  # a `*.pgm` glob never sees it
+    fh = open(tmp, "wb")
+    try:
+        with fh:
+            fh.writelines(parts)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def write_pgm(arr: np.ndarray, path) -> None:
     """Write an image (uint16, maxval 65535) or mask (uint8, maxval 2) as P5."""
     arr = np.asarray(arr)
@@ -130,8 +147,7 @@ def write_pgm(arr: np.ndarray, path) -> None:
     else:
         raise ValidationError(f"expected uint8 mask or uint16 image, got dtype {arr.dtype}")
     header = f"P5\n{arr.shape[1]} {arr.shape[0]}\n{maxval}\n".encode("ascii")
-    with open(path, "wb") as fh:
-        fh.write(header + payload)
+    _write_atomic(path, (header, payload))
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +300,7 @@ def make_dataset(out_dir, count: int, template: PhantomSpec, seed: int = 0) -> l
         write_pgm(mask, out_dir / rel_mask)
         pairs.append((out_dir / rel_img, out_dir / rel_mask))
         lines.append(f"{rel_img}\t{rel_mask}\n")
-    (out_dir / MANIFEST_NAME).write_text("".join(lines), encoding="utf-8", newline="\n")
+    _write_atomic(out_dir / MANIFEST_NAME, ["".join(lines).encode("utf-8")])
     return pairs
 
 

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .data import _write_atomic
 from .errors import ShapeError, ValidationError
 from .tensor import NUM_CLASSES
 
@@ -112,7 +113,7 @@ def write_report(rep: VolumetryReport, counts, path) -> None:
         str(rep.pixels_c), str(rep.pixels_m),
         f"{rep.v_m:.6f}", f"{rep.v_c:.6f}", f"{rep.ratio:.6f}",
     ] + quality
-    Path(path).write_text(REPORT_HEADER + "\n" + ",".join(row) + "\n", encoding="utf-8", newline="\n")
+    _write_atomic(path, [f"{REPORT_HEADER}\n{','.join(row)}\n".encode("utf-8")])
 
 
 def read_reference(path) -> tuple[int, float]:

@@ -17,6 +17,7 @@ import numpy as np
 from .data import (
     MAXVAL,
     DatasetSplit,
+    _write_atomic,
     encode_one_hot,
     image_to_tensor,
     load_manifest,
@@ -216,8 +217,8 @@ def run_training(config: RunConfig, log=None) -> TrainingResult:
         say(row)
 
     metrics_path = Path(config.metrics)
-    metrics_path.write_text(METRICS_HEADER + "\n" + "".join(r + "\n" for r in rows),
-                            encoding="utf-8", newline="\n")
+    text = METRICS_HEADER + "\n" + "".join(r + "\n" for r in rows)
+    _write_atomic(metrics_path, [text.encode("utf-8")])
     checkpoint_path = Path(config.checkpoint)
     save_checkpoint(params, net_cfg, checkpoint_path)
     return TrainingResult(

@@ -14,11 +14,14 @@ mirror that structure.
 
 from __future__ import annotations
 
+import itertools
+import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _write_atomic
 from .errors import CheckpointError, ConsistencyError, ShapeError, ValidationError
 from .layers import (
     ConvSpec,
@@ -258,131 +261,99 @@ def backward(params: Params, config: UNetConfig, cache: dict, d_scores: np.ndarr
     return {name: grads[name] for name in params}
 
 
-def _head_byte(head: str) -> int:
-    return OUTPUT_HEADS.index(head)
+def _header_parts(config: UNetConfig) -> list[tuple[str, bytes]]:
+    """Every checkpoint byte before the payload, as labelled (field, bytes) parts.
+
+    The only statement of the layout. Integers are little-endian u32, the output
+    head is one enum byte, and the table lists `<name>.w` then `<name>.b` for
+    each layer in `param_shapes` order, as length-prefixed UTF-8 name and shape.
+    """
+    entries: list[tuple[str, tuple[int, ...]]] = []
+    for name, (kind, wshape) in param_shapes(config).items():
+        entries += [(f"{name}.w", wshape), (f"{name}.b", (_bias_size(kind, wshape),))]
+    parts = [
+        ("magic", CHECKPOINT_MAGIC),
+        ("version", struct.pack("<I", CHECKPOINT_VERSION)),
+        ("config block", struct.pack("<6I", config.depth, config.base_channels, config.in_channels,
+                                     config.num_classes, config.input_size, int(config.use_skips))),
+        ("output head", struct.pack("<B", OUTPUT_HEADS.index(config.output_head))),
+        ("entry count", struct.pack("<I", len(entries))),
+    ]
+    for e, (name, shape) in enumerate(entries):
+        encoded = name.encode("utf-8")
+        parts += [
+            (f"entry {e} name length", struct.pack("<I", len(encoded))),
+            (f"entry {e} name", encoded),
+            (f"entry {e} shape", struct.pack(f"<{len(shape) + 1}I", len(shape), *shape)),
+        ]
+    return parts
 
 
 def save_checkpoint(params: Params, config: UNetConfig, path) -> None:
-    """Binary checkpoint: magic, version, config block, tensor table, payload.
-
-    All integers are little-endian u32; the output head is a single enum
-    byte; payloads are raw little-endian float64 in table order.
-    """
+    """Binary checkpoint: the `_header_parts` header, then every tensor as raw
+    little-endian float64 in table order, streamed without a joined copy."""
     _check_params(params, config)
-    chunks = [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION)]
-    chunks.append(
-        struct.pack(
-            "<IIIIII",
-            config.depth,
-            config.base_channels,
-            config.in_channels,
-            config.num_classes,
-            config.input_size,
-            int(config.use_skips),
-        )
-    )
-    chunks.append(struct.pack("<B", _head_byte(config.output_head)))
-    entries: list[tuple[str, np.ndarray]] = []
-    for name, (w, b) in params.items():
-        entries.append((f"{name}.w", w))
-        entries.append((f"{name}.b", b))
-    chunks.append(struct.pack("<I", len(entries)))
-    for ename, arr in entries:
-        nb = ename.encode("utf-8")
-        chunks.append(struct.pack("<I", len(nb)))
-        chunks.append(nb)
-        chunks.append(struct.pack("<I", arr.ndim))
-        chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-    for _, arr in entries:
-        chunks.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    with open(path, "wb") as fh:
-        fh.write(b"".join(chunks))
+    header = (part for _, part in _header_parts(config))
+    payload = (np.ascontiguousarray(arr, dtype="<f8") for wb in params.values() for arr in wb)
+    _write_atomic(path, itertools.chain(header, payload))
 
 
 def load_checkpoint(path, expected_config: UNetConfig | None = None) -> tuple[Params, UNetConfig]:
-    """Read a checkpoint; validates structure before returning any tensors."""
+    """Read a checkpoint. The config block decides the network; every header byte
+    must then equal what `save_checkpoint` writes for it before any tensor is read."""
     with open(path, "rb") as fh:
-        blob = fh.read()
+        magic = fh.read(len(CHECKPOINT_MAGIC))
+        if magic != CHECKPOINT_MAGIC:
+            raise CheckpointError(f"bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
+        off = len(magic)
 
-    off = 0
+        def take(fmt: str, what: str):
+            nonlocal off
+            size = struct.calcsize(fmt)
+            chunk = fh.read(size)
+            if len(chunk) < size:
+                raise CheckpointError(f"truncated checkpoint while reading {what} at byte {off}")
+            off += size
+            return struct.unpack(fmt, chunk)
 
-    def take(fmt: str, what: str):
-        nonlocal off
-        size = struct.calcsize(fmt)
-        if off + size > len(blob):
-            raise CheckpointError(f"truncated checkpoint while reading {what} at byte {off}")
-        vals = struct.unpack_from(fmt, blob, off)
-        off += size
-        return vals
-
-    if blob[:8] != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"bad magic {blob[:8]!r}, expected {CHECKPOINT_MAGIC!r}")
-    off = 8
-    (version,) = take("<I", "version")
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
-    depth, base, in_ch, classes, input_size, use_skips = take("<IIIIII", "config block")
-    (head_b,) = take("<B", "output head")
-    if head_b >= len(OUTPUT_HEADS):
-        raise CheckpointError(f"unknown output-head byte {head_b}")
-    try:
-        config = UNetConfig(
-            depth=depth,
-            base_channels=base,
-            in_channels=in_ch,
-            num_classes=classes,
-            output_head=OUTPUT_HEADS[head_b],
-            input_size=input_size,
-            use_skips=bool(use_skips),
-        )
-    except ValidationError as exc:
-        raise CheckpointError(f"invalid config block: {exc}") from exc
-    if expected_config is not None and config != expected_config:
-        raise CheckpointError(f"checkpoint config {config} does not match expected {expected_config}")
-
-    (n_entries,) = take("<I", "entry count")
-    table: list[tuple[str, tuple[int, ...]]] = []
-    for e in range(n_entries):
-        (name_len,) = take("<I", f"entry {e} name length")
-        if off + name_len > len(blob):
-            raise CheckpointError(f"truncated checkpoint while reading entry {e} name at byte {off}")
+        (version,) = take("<I", "version")
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointError(f"unsupported checkpoint version {version}")
+        depth, base, in_ch, classes, input_size, use_skips = take("<IIIIII", "config block")
+        (head_b,) = take("<B", "output head")
+        if head_b >= len(OUTPUT_HEADS):
+            raise CheckpointError(f"unknown output-head byte {head_b}")
         try:
-            name = blob[off : off + name_len].decode("utf-8")
-        except UnicodeDecodeError:
-            raise CheckpointError(f"entry {e} name at byte {off} is not UTF-8") from None
-        off += name_len
-        (rank,) = take("<I", f"{name} rank")
-        shape = take(f"<{rank}I", f"{name} extents") if rank else ()
-        table.append((name, tuple(shape)))
+            config = UNetConfig(
+                depth=depth,
+                base_channels=base,
+                in_channels=in_ch,
+                num_classes=classes,
+                output_head=OUTPUT_HEADS[head_b],
+                input_size=input_size,
+                use_skips=bool(use_skips),
+            )
+        except ValidationError as exc:
+            raise CheckpointError(f"invalid config block: {exc}") from exc
+        if expected_config is not None and config != expected_config:
+            raise CheckpointError(f"checkpoint config {config} does not match expected {expected_config}")
 
-    expected = param_shapes(config)
-    expected_entries: list[tuple[str, tuple[int, ...]]] = []
-    for name, (kind, wshape) in expected.items():
-        expected_entries.append((f"{name}.w", wshape))
-        expected_entries.append((f"{name}.b", (_bias_size(kind, wshape),)))
-    if table != expected_entries:
-        for got, want in zip(table, expected_entries):
+        fh.seek(0)
+        off = 0
+        for field, want in _header_parts(config):
+            got = fh.read(len(want))
             if got != want:
-                raise CheckpointError(f"shape table mismatch at {want[0]}: got {got}, expected {want}")
-        raise CheckpointError(
-            f"shape table has {len(table)} entries, expected {len(expected_entries)}"
-        )
+                found = "is truncated" if len(got) < len(want) else f"reads {got!r}"
+                raise CheckpointError(f"{field} at byte {off} {found}, expected {want!r}")
+            off += len(want)
 
-    payload = blob[off:]
-    total = sum(int(np.prod(shape)) for _, shape in table)
-    if len(payload) != total * 8:
-        raise CheckpointError(
-            f"payload is {len(payload)} bytes, table requires {total * 8} (first field {table[0][0]})"
-        )
-    arrays: dict[str, np.ndarray] = {}
-    pos = 0
-    for name, shape in table:
-        count = int(np.prod(shape))
-        arrays[name] = (
-            np.frombuffer(payload, dtype="<f8", count=count, offset=pos * 8)
-            .astype(np.float64)
-            .reshape(shape)
-        )
-        pos += count
-    params: Params = {name: (arrays[f"{name}.w"], arrays[f"{name}.b"]) for name in expected}
+        size, want = os.fstat(fh.fileno()).st_size - off, parameter_count(config) * 8
+        if size != want:
+            raise CheckpointError(f"payload at byte {off} is {size} bytes, the header declares {want}")
+        params: Params = {}
+        for name, (kind, wshape) in param_shapes(config).items():
+            w, b = np.empty(wshape, "<f8"), np.empty(_bias_size(kind, wshape), "<f8")
+            if fh.readinto(w) != w.nbytes or fh.readinto(b) != b.nbytes:
+                raise CheckpointError(f"payload truncated in {name}")
+            params[name] = (w, b)
     return params, config

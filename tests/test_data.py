@@ -1,7 +1,12 @@
+import errno
+import io
+import os
+
 import numpy as np
 import pytest
 
 import microvolumetry as mv
+import microvolumetry.data as data_mod
 from microvolumetry.data import (
     ANNULUS_OUTER_FRACTION,
     BACKGROUND_BAND,
@@ -259,3 +264,48 @@ def test_image_to_tensor_normalizes():
     assert t.shape == (1, 1, 2, 2)
     assert t.max() == 1.0 and t.min() == 0.0
     assert abs(t[0, 0, 1, 0] - (MAXVAL // 5) / MAXVAL) < 1e-15
+
+
+def _checkpoint_writer(seed):
+    cfg = mv.UNetConfig(depth=1, base_channels=2, input_size=4)
+    return lambda path: mv.save_checkpoint(mv.build(cfg, seed), cfg, path)
+
+
+def _pgm_writer(seed):
+    return lambda path: mv.write_pgm(np.full((3, 4), seed, dtype=np.uint8), path)
+
+
+def _csv_writer(seed):
+    return lambda path: mv.write_report(mv.calibrate_volume(10 + seed, 20, 1.5), None, path)
+
+
+class TestAtomicWrites:
+    """A write that fails partway leaves the old file whole and no temp file behind."""
+
+    @pytest.mark.parametrize(
+        "writer, name",
+        [(_checkpoint_writer, "model.ckpt"), (_pgm_writer, "mask.pgm"), (_csv_writer, "volumetry.csv")],
+    )
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch, writer, name):
+        path = tmp_path / name
+        writer(0)(path)
+        before = path.read_bytes()
+        opened = []
+
+        class DiskFullAfterOneByte(io.FileIO):
+            def __init__(self, file, mode="r"):
+                opened.append(os.fspath(file))
+                super().__init__(file, mode)
+
+            def write(self, data):
+                super().write(memoryview(data).cast("B")[:1])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(data_mod, "open", DiskFullAfterOneByte, raising=False)
+        with pytest.raises(OSError, match="No space"):
+            writer(1)(path)
+        monkeypatch.undo()
+
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [name]
+        assert opened and not any(f.endswith(".pgm") for f in opened)

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -305,3 +306,57 @@ class TestCheckpoint:
         mv.save_checkpoint(params, cfg, path)
         _, cfg2 = mv.load_checkpoint(path)
         assert cfg2.use_skips is False
+
+
+class TestCheckpointCodec:
+    """The header must be exactly what save_checkpoint writes for the config
+    it declares, and the payload is streamed in and out with one copy."""
+
+    def _saved(self, tmp_path, **kw):
+        cfg = mv.UNetConfig(depth=1, base_channels=4, input_size=16, **kw)
+        path = tmp_path / "m.ckpt"
+        mv.save_checkpoint(mv.build(cfg, seed=11), cfg, path)
+        return path
+
+    def _patched(self, path, at, new):
+        blob = path.read_bytes()
+        path.write_bytes(blob[:at] + new + blob[at + len(new) :])
+
+    def test_changed_extent_names_the_entry_and_its_offset(self, tmp_path):
+        path = self._saved(tmp_path)
+        # entry 0 is "enc0.conv1.w": length u32 at 41, 12-byte name at 45,
+        # shape at 57 (rank u32, then extents (4, 1, 3, 3))
+        self._patched(path, 61, struct.pack("<I", 5))
+        with pytest.raises(CheckpointError, match="entry 0 shape at byte 57"):
+            mv.load_checkpoint(path)
+
+    def test_byte_after_the_payload_is_rejected(self, tmp_path):
+        path = self._saved(tmp_path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(CheckpointError, match="payload"):
+            mv.load_checkpoint(path)
+
+    def test_use_skips_other_than_zero_or_one_is_rejected(self, tmp_path):
+        path = self._saved(tmp_path)
+        self._patched(path, 12 + 5 * 4, struct.pack("<I", 2))  # sixth u32 of the config block
+        with pytest.raises(CheckpointError, match="config block at byte 12"):
+            mv.load_checkpoint(path)
+
+    def _traced_peak(self, fn):
+        tracemalloc.start()
+        try:
+            result = fn()
+            return tracemalloc.get_traced_memory()[1], result
+        finally:
+            tracemalloc.stop()
+
+    def test_save_and_load_peak_memory(self, tmp_path):
+        cfg = mv.UNetConfig(depth=2, base_channels=32, input_size=16)
+        params = mv.build(cfg, seed=0)
+        payload = mv.parameter_count(cfg) * 8
+        path = tmp_path / "m.ckpt"
+        save_peak, _ = self._traced_peak(lambda: mv.save_checkpoint(params, cfg, path))
+        load_peak, (loaded, _) = self._traced_peak(lambda: mv.load_checkpoint(path))
+        assert all(np.array_equal(loaded[n][0], params[n][0]) for n in params)
+        assert save_peak < 1.0 * payload, (save_peak, payload)
+        assert load_peak < 1.5 * payload, (load_peak, payload)
