@@ -214,8 +214,8 @@ class PhantomSpec:
             raise ValidationError(f"implant_radius must be in (0, 0.5), got {self.implant_radius}")
         if not 0.0 <= self.bone_density <= 1.0:
             raise ValidationError(f"bone_density must be in [0, 1], got {self.bone_density}")
-        if self.noise_sigma < 0:
-            raise ValidationError("noise_sigma must be >= 0")
+        if not 0.0 <= self.noise_sigma < np.inf:
+            raise ValidationError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if self.artifact_streaks < 0:
             raise ValidationError("artifact_streaks must be >= 0")
 

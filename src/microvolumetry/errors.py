@@ -27,7 +27,7 @@ class DataMismatchError(ValueError):
 
 
 class ConsistencyError(RuntimeError):
-    """Internal invariant broken (e.g. pooling indices out of range)."""
+    """Internal invariant broken (e.g. a backward cache not made by forward)."""
 
 
 class DivergenceError(RuntimeError):

@@ -9,7 +9,9 @@ The conv backward handles stride 1 only (the only stride the network
 uses) and never scatters patches back: d_input is itself a correlation of
 the zero-padded d_output with the flipped, channel-transposed kernel, run
 through the same im2col + GEMM path as the forward. That path writes the
-zero padding straight into the patch matrix; no padded copy is made.
+zero padding straight into the patch matrix; no padded copy is made. Max
+pooling keeps no argmax: its backward recomputes each window's argmax from
+the pool input, which a training cache holds anyway.
 
 Arrays are laid out (batch, channels, height, width). Every kernel returns
 the dtype of its input: training runs in float64, `predict` in float32.
@@ -23,7 +25,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 from scipy.special import expit
 
-from .errors import ConsistencyError, ShapeError, ValidationError
+from .errors import ShapeError, ValidationError
 from .tensor import Shape4
 
 # Cap on the im2col scratch buffer so 512x512 forwards fit in small RAM.
@@ -212,40 +214,36 @@ def conv2d_backward(x: np.ndarray, weights: np.ndarray, spec: ConvSpec, d_output
     return LayerGrad(d_x, d_wmat.reshape(weights.shape), d_bias)
 
 
-def maxpool2_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """2x2/stride-2 max pooling; returns (pooled, window argmax indices).
+def maxpool2_forward(x: np.ndarray) -> np.ndarray:
+    """2x2/stride-2 max pooling: the element-wise maximum of the four window corners.
 
-    Indices are the row-major position (0..3) of the winning element inside
-    each window, first occurrence on ties.
+    A NaN anywhere in a window pools to NaN. np.maximum returns its second
+    argument when the two compare equal, so the corners are folded last to
+    first and the first occurrence wins a tie (0.0 before -0.0).
     """
     s = Shape4.of(x)
     if s.height % 2 or s.width % 2:
         raise ShapeError(f"maxpool2 needs even spatial extents, got {s.height}x{s.width}")
-    h2, w2 = s.height // 2, s.width // 2
-    windows = (
-        x.reshape(s.batch, s.channels, h2, 2, w2, 2)
-        .transpose(0, 1, 2, 4, 3, 5)
-        .reshape(s.batch, s.channels, h2, w2, 4)
+    return np.maximum(
+        np.maximum(x[:, :, 1::2, 1::2], x[:, :, 1::2, ::2]),
+        np.maximum(x[:, :, ::2, 1::2], x[:, :, ::2, ::2]),
     )
-    idx = windows.argmax(axis=-1)
-    pooled = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
-    return pooled, idx.astype(np.uint8)
 
 
-def maxpool2_backward(idx: np.ndarray, d_output: np.ndarray) -> np.ndarray:
-    """Route each upstream gradient to its recorded argmax position."""
-    if idx.shape != d_output.shape:
-        raise ShapeError(f"indices shape {idx.shape} != d_output shape {d_output.shape}")
-    if idx.size and idx.max() > 3:
-        raise ConsistencyError("pooling index out of range 0..3")
-    n, c, h2, w2 = d_output.shape
+def maxpool2_backward(x: np.ndarray, d_output: np.ndarray) -> np.ndarray:
+    """Route each upstream gradient to its window's first maximum in the pool input x.
+
+    The argmax is recomputed from x, not kept from the forward; as there, a
+    NaN wins its window.
+    """
+    n, c, h, w = Shape4.of(x)
+    h2, w2 = h // 2, w // 2
+    if h % 2 or w % 2 or d_output.shape != (n, c, h2, w2):
+        raise ShapeError(f"d_output shape {d_output.shape} is not the pooled shape of input {x.shape}")
+    windows = x.reshape(n, c, h2, 2, w2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h2, w2, 4)
     d_windows = np.zeros((n, c, h2, w2, 4), dtype=np.float64)
-    np.put_along_axis(d_windows, idx[..., None].astype(np.intp), d_output[..., None], axis=-1)
-    return (
-        d_windows.reshape(n, c, h2, w2, 2, 2)
-        .transpose(0, 1, 2, 4, 3, 5)
-        .reshape(n, c, h2 * 2, w2 * 2)
-    )
+    np.put_along_axis(d_windows, windows.argmax(axis=-1)[..., None], d_output[..., None], axis=-1)
+    return d_windows.reshape(n, c, h2, w2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(x.shape)
 
 
 def _check_tconv_args(x, weights, bias) -> Shape4:
@@ -266,10 +264,10 @@ def tconv2_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.n
     stride equals kernel size, so contributions never overlap.
     """
     s = _check_tconv_args(x, weights, bias)
-    out_ch = weights.shape[1]
     t = np.tensordot(x, weights, axes=(1, 0))  # (N, H, W, O, 2, 2)
-    out = t.transpose(0, 3, 1, 4, 2, 5).reshape(s.batch, out_ch, 2 * s.height, 2 * s.width)
-    return out + bias.reshape(1, -1, 1, 1)
+    out = t.transpose(0, 3, 1, 4, 2, 5).reshape(s.batch, weights.shape[1], 2 * s.height, 2 * s.width)
+    out += bias.reshape(1, -1, 1, 1)  # in place: out is t's own copy or view
+    return out
 
 
 def tconv2_backward(x: np.ndarray, weights: np.ndarray, d_output: np.ndarray) -> LayerGrad:

@@ -84,8 +84,8 @@ def calibrate_volume(pixels_c: int, pixels_m: int, v_m: float) -> VolumetryRepor
         raise ValidationError(f"pixels_c must be >= 0, got {pixels_c}")
     if pixels_m <= 0:
         raise ValidationError(f"pixels_m must be > 0, got {pixels_m}")
-    if not v_m > 0:
-        raise ValidationError(f"v_m must be > 0, got {v_m}")
+    if not 0 < v_m < np.inf:
+        raise ValidationError(f"v_m must be finite and > 0, got {v_m}")
     ratio = pixels_c / pixels_m
     return VolumetryReport(
         pixels_c=int(pixels_c), pixels_m=int(pixels_m),
@@ -135,6 +135,6 @@ def read_reference(path) -> tuple[int, float]:
         v_m = float(values["V_M_mm3"])
     except ValueError as exc:
         raise ValidationError(f"{path}: {exc}") from None
-    if pixels_m <= 0 or not v_m > 0:
-        raise ValidationError(f"{path}: pixels_M and V_M_mm3 must be positive")
+    if pixels_m <= 0 or not 0 < v_m < np.inf:
+        raise ValidationError(f"{path}: pixels_M and V_M_mm3 must be positive and finite")
     return pixels_m, v_m

@@ -59,6 +59,12 @@ class RunConfig(UNetConfig):
             raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
         if not self.dataset:
             raise ValidationError("config must set 'dataset'")
+        for name in ("lr", "epsilon"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValidationError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValidationError(f"{name} must be in [0, 1), got {getattr(self, name)}")
 
     def unet(self) -> UNetConfig:
         return UNetConfig(**{f.name: getattr(self, f.name) for f in fields(UNetConfig)})

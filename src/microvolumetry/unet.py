@@ -9,7 +9,9 @@ convolutions + ReLU), finished by a 1x1 classification convolution and a
 sigmoid or softmax head.
 
 Parameters are an ordered mapping {layer name: (weights, bias)}; gradients
-mirror that structure.
+mirror that structure. The training cache holds {stage: (input, conv1, conv2
+activation)} and the head output "out"; backward reads each pool, tconv and
+head input from the conv2 activation of the stage that produced it.
 """
 
 from __future__ import annotations
@@ -195,19 +197,14 @@ def forward(
     x = batch
     skips: list[np.ndarray | None] = []
     for i in range(config.depth):
-        a2 = _double_conv(params, f"enc{i}", x, cache)
-        x, idx = maxpool2_forward(a2)
-        skips.append(a2)
-        if cache is not None:
-            cache[f"enc{i}.pool"] = idx
+        skips.append(_double_conv(params, f"enc{i}", x, cache))
+        x = maxpool2_forward(skips[-1])
 
     x = _double_conv(params, "bottleneck", x, cache)
 
     for i in reversed(range(config.depth)):
         wt, bt = params[f"dec{i}.tconv"]
         up = tconv2_forward(x, wt, bt)
-        if cache is not None:
-            cache[f"dec{i}.tconv"] = x
         joined = concat_channels(skips[i], up) if config.use_skips else up
         skips[i] = None  # free once consumed
         x = _double_conv(params, f"dec{i}", joined, cache)
@@ -216,7 +213,6 @@ def forward(
     pre = conv2d_forward(x, wh, bh, _spec(wh))
     out = sigmoid(pre) if config.output_head == "sigmoid" else softmax_channel(pre)
     if cache is not None:
-        cache["head_in"] = x
         cache["out"] = out
     return out, cache
 
@@ -231,12 +227,9 @@ def backward(params: Params, config: UNetConfig, cache: dict, d_scores: np.ndarr
     _check_params(params, config)
 
     grads: Params = {}
-    if config.output_head == "sigmoid":
-        d_pre = sigmoid_backward(out, d_scores)
-    else:
-        d_pre = softmax_channel_backward(out, d_scores)
+    head_backward = sigmoid_backward if config.output_head == "sigmoid" else softmax_channel_backward
     wh, _ = params["head"]
-    g = conv2d_backward(cache["head_in"], wh, _spec(wh), d_pre)
+    g = conv2d_backward(cache["dec0"][2], wh, _spec(wh), head_backward(out, d_scores))
     grads["head"] = (g.d_weights, g.d_bias)
     d = g.d_input
 
@@ -246,14 +239,15 @@ def backward(params: Params, config: UNetConfig, cache: dict, d_scores: np.ndarr
         if config.use_skips:
             pending_skip[i], d = split_channels(d, _enc_channels(config, i))
         wt, _ = params[f"dec{i}.tconv"]
-        gt = tconv2_backward(cache[f"dec{i}.tconv"], wt, d)
+        below = f"dec{i + 1}" if i + 1 < config.depth else "bottleneck"
+        gt = tconv2_backward(cache[below][2], wt, d)
         grads[f"dec{i}.tconv"] = (gt.d_weights, gt.d_bias)
         d = gt.d_input
 
     d = _double_conv_backward(params, "bottleneck", cache, d, grads)
 
     for i in reversed(range(config.depth)):
-        d = maxpool2_backward(cache[f"enc{i}.pool"], d)
+        d = maxpool2_backward(cache[f"enc{i}"][2], d)
         if config.use_skips:
             d = d + pending_skip.pop(i)
         d = _double_conv_backward(params, f"enc{i}", cache, d, grads)

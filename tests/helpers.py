@@ -62,7 +62,7 @@ def hazard_margins(params: dict, cfg: mv.UNetConfig, xb: np.ndarray) -> tuple[fl
         live = srt[:, 2] > 0
         if live.any():
             pool_m = min(pool_m, float((srt[live, 3] - srt[live, 2]).min()))
-        return L.maxpool2_forward(a)[0]
+        return L.maxpool2_forward(a)
 
     x = xb
     skips = []
@@ -186,8 +186,8 @@ def pool_gradient_error(seed: int) -> float:
     r = rng.standard_normal((2, 3, 4, 4))
 
     def fn(arrs):
-        out, idx = L.maxpool2_forward(arrs[0])
-        return float((out * r).sum()), [L.maxpool2_backward(idx, r)]
+        out = L.maxpool2_forward(arrs[0])
+        return float((out * r).sum()), [L.maxpool2_backward(arrs[0], r)]
 
     return gradient_check(fn, [x], step=FD_STEP)
 

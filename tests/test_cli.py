@@ -74,6 +74,12 @@ class TestGen:
     def test_bad_radius_is_usage_error(self, tmp_path):
         assert main(gen_args(tmp_path / "d") + ["--implant-radius", "0.9"]) == 2
 
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_non_finite_noise_sigma_is_usage_error(self, tmp_path, capsys, sigma):
+        assert main(gen_args(tmp_path / "d") + ["--noise-sigma", sigma]) == 2
+        assert "noise_sigma" in capsys.readouterr().err
+        assert not (tmp_path / "d" / "manifest.txt").exists()
+
 
 class TestTrain:
     def test_prints_progress_and_summary(self, trained, capsys):
@@ -327,6 +333,15 @@ class TestVolumetry:
                      "--reference", str(ref), "--out", str(tmp_path / "vol.csv")])
         assert code == 2
         assert "pixels_M" in capsys.readouterr().err
+
+    def test_infinite_reference_volume_exits_2_without_output(self, trained, tmp_path, capsys):
+        ref = write_reference(tmp_path / "ref.txt", volume="inf")
+        out = tmp_path / "vol.csv"
+        code = main(["volumetry", "--pred", str(trained / "data" / "masks"),
+                     "--reference", str(ref), "--out", str(out)])
+        assert code == 2
+        assert "V_M_mm3" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_reference_exits_3(self, trained, tmp_path):
         code = main(["volumetry", "--pred", str(trained / "data" / "masks"),

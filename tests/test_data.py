@@ -203,6 +203,11 @@ class TestPhantom:
         with pytest.raises(ValidationError):
             mv.PhantomSpec(size=64, artifact_streaks=-1)
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_spec_rejects_non_finite_noise(self, sigma):
+        with pytest.raises(ValidationError, match="noise_sigma"):
+            mv.PhantomSpec(size=64, noise_sigma=sigma)
+
     def test_background_band_constant_is_honored(self):
         img, mask = mv.generate_phantom(
             mv.PhantomSpec(size=64, seed=7, noise_sigma=0.0, artifact_streaks=0)

@@ -3,7 +3,7 @@ import pytest
 
 import microvolumetry.layers as L
 from helpers import conv_backward_reference
-from microvolumetry.errors import ConsistencyError, ShapeError, ValidationError
+from microvolumetry.errors import ShapeError, ValidationError
 from microvolumetry.layers import ConvSpec
 
 
@@ -216,6 +216,11 @@ class TestFloat32Conv:
 
 
 class TestMaxPool:
+    def _grad_at(self, x):
+        """Where backward sends a unit upstream gradient from each window."""
+        d = L.maxpool2_backward(x, np.ones((1, 1, x.shape[2] // 2, x.shape[3] // 2)))
+        return np.argwhere(d[0, 0] == 1.0).tolist()
+
     def test_values_and_first_occurrence_ties(self):
         x = np.array(
             [
@@ -225,33 +230,49 @@ class TestMaxPool:
                 [4.0, 0.0, 3.0, 3.0],
             ]
         ).reshape(1, 1, 4, 4)
-        out, idx = L.maxpool2_forward(x)
+        out = L.maxpool2_forward(x)
         assert np.array_equal(out[0, 0], [[5.0, 1.0], [4.0, 3.0]])
-        # window entries are ordered (0,0),(0,1),(1,0),(1,1); ties take the first
-        assert idx.dtype == np.uint8
-        assert np.array_equal(idx[0, 0], [[0, 0], [2, 0]])
+        # ties take the first window entry in row-major order
+        assert self._grad_at(x) == [[0, 0], [0, 2], [2, 2], [3, 0]]
+
+    def test_signed_zero_tie_keeps_the_first_zero(self):
+        x = np.array([[0.0, -0.0], [-0.0, -0.0], [-0.0, 0.0], [0.0, 0.0]]).reshape(1, 1, 4, 2)
+        out = L.maxpool2_forward(x)
+        assert np.signbit(out[0, 0, :, 0]).tolist() == [False, True]
+        assert self._grad_at(x) == [[0, 0], [2, 0]]
 
     def test_nan_wins_its_window(self):
         x = np.array([[1.0, np.nan], [np.nan, 2.0]]).reshape(1, 1, 2, 2)
-        out, idx = L.maxpool2_forward(x)
-        assert np.isnan(out[0, 0, 0, 0]) and idx[0, 0, 0, 0] == 1
+        out = L.maxpool2_forward(x)
+        assert np.isnan(out[0, 0, 0, 0])
+        # the gradient goes to the first NaN
+        assert self._grad_at(x) == [[0, 1]]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_forward_matches_window_argmax(self, dtype):
+        rng = np.random.default_rng(5)
+        x = rng.choice(np.array([0.0, 1.0, 2.0, np.nan], dtype=dtype), size=(2, 3, 6, 8))
+        windows = x.reshape(2, 3, 3, 2, 4, 2).transpose(0, 1, 2, 4, 3, 5).reshape(2, 3, 3, 4, 4)
+        first = np.take_along_axis(windows, windows.argmax(-1)[..., None], -1)[..., 0]
+        out = L.maxpool2_forward(x)
+        assert out.dtype == dtype
+        assert out.tobytes() == first.tobytes()
 
     def test_gradient_routes_to_argmax(self):
         x = np.array([[1.0, 2.0], [3.0, 0.0]]).reshape(1, 1, 2, 2)
-        _, idx = L.maxpool2_forward(x)
-        d = L.maxpool2_backward(idx, np.full((1, 1, 1, 1), 7.0))
+        d = L.maxpool2_backward(x, np.full((1, 1, 1, 1), 7.0))
         assert np.array_equal(d[0, 0], [[0.0, 0.0], [7.0, 0.0]])
 
     def test_rejects_odd_extent(self):
         with pytest.raises(ShapeError):
             L.maxpool2_forward(np.zeros((1, 1, 5, 4)))
+        with pytest.raises(ShapeError):
+            L.maxpool2_backward(np.zeros((1, 1, 4, 5)), np.zeros((1, 1, 2, 2)))
 
-    def test_backward_rejects_corrupt_indices(self):
-        x = np.zeros((1, 1, 2, 2))
-        _, idx = L.maxpool2_forward(x)
-        idx[0, 0, 0, 0] = 9
-        with pytest.raises(ConsistencyError):
-            L.maxpool2_backward(idx, np.ones((1, 1, 1, 1)))
+    @pytest.mark.parametrize("d_shape", [(1, 1, 2, 2), (1, 1, 1, 2), (1, 2, 1, 1), (2, 1, 1, 1)])
+    def test_backward_rejects_d_output_not_half_of_x(self, d_shape):
+        with pytest.raises(ShapeError):
+            L.maxpool2_backward(np.zeros((1, 1, 2, 2)), np.ones(d_shape))
 
 
 class TestTransposedConv:

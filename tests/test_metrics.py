@@ -143,6 +143,14 @@ class TestCalibration:
         with pytest.raises(ValidationError):
             mv.calibrate_volume(10, 100, 0.0)
 
+    def test_rejects_infinite_reference_volume(self, tmp_path):
+        with pytest.raises(ValidationError, match="finite"):
+            mv.calibrate_volume(10, 100, float("inf"))
+        path = tmp_path / "ref.txt"
+        path.write_text("pixels_M=100\nV_M_mm3=inf\n")
+        with pytest.raises(ValidationError, match="finite"):
+            mv.read_reference(path)
+
 
 class TestReportFile:
     def test_layout_and_values(self, tmp_path):

@@ -100,6 +100,16 @@ class TestRunConfigValidation:
         with pytest.raises(ValidationError):
             mv.RunConfig(dataset="d", depth=2, input_size=30)
 
+    @pytest.mark.parametrize("key, value", [
+        ("lr", "-1"), ("lr", "0"), ("lr", "nan"), ("lr", "inf"),
+        ("beta1", "1.0"), ("beta1", "-0.1"), ("beta2", "1.5"), ("beta2", "nan"),
+        ("epsilon", "0"), ("epsilon", "nan"), ("epsilon", "inf"),
+    ])
+    def test_rejects_bad_adam_hyperparameters_at_parse_time(self, tmp_path, key, value):
+        path = write_config(tmp_path / "run.cfg", dataset="d", **{key: value})
+        with pytest.raises(ValidationError, match=key):
+            mv.parse_config(path)
+
     def test_unet_view_carries_geometry(self):
         cfg = mv.RunConfig(dataset="d", depth=2, base_channels=8, input_size=32)
         net = cfg.unet()

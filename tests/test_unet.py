@@ -147,6 +147,12 @@ class TestForwardBackward:
         out, _ = mv.forward(params, cfg, np.random.default_rng(1).random((1, 1, 16, 16)))
         assert (out > 0).all() and (out < 1).all()
 
+    def test_cache_holds_only_stage_activations_and_output(self):
+        cfg = mv.UNetConfig(depth=2, base_channels=2, input_size=16)
+        params = mv.build(cfg, seed=1)
+        _, cache = mv.forward(params, cfg, np.random.default_rng(0).random((1, 1, 16, 16)))
+        assert set(cache) == {"enc0", "enc1", "bottleneck", "dec1", "dec0", "out"}
+
     def test_want_cache_false_skips_cache_same_output(self):
         cfg = mv.UNetConfig(depth=1, base_channels=4, input_size=16)
         params = mv.build(cfg, seed=3)
