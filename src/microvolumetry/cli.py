@@ -54,11 +54,14 @@ def _mask_files(directory: Path) -> list[Path]:
     return files
 
 
-def _input_images(directory: Path) -> list[Path]:
-    """Images to predict on: manifest order when present, else sorted names."""
+def _input_images(directory: Path) -> tuple[list[Path], list[Path]]:
+    """Images to predict on (manifest order when present, else sorted names),
+    and every input file, manifest masks included, that predict must not overwrite."""
     if (directory / "manifest.txt").is_file():
-        return [img for img, _ in load_manifest(directory)]
-    return _mask_files(directory)
+        pairs = load_manifest(directory)
+        return [img for img, _ in pairs], [path for pair in pairs for path in pair]
+    images = _mask_files(directory)
+    return images, images
 
 
 def cmd_gen(args) -> int:
@@ -94,8 +97,10 @@ def cmd_predict(args) -> int:
     params, net_cfg = load_checkpoint(args.checkpoint)
     params = {name: (w.astype(np.float32), b.astype(np.float32)) for name, (w, b) in params.items()}
     out_dir = Path(args.out)
+    images, inputs = _input_images(Path(args.images))
+    if out_dir.resolve() in {path.resolve().parent for path in inputs}:
+        raise ValidationError(f"--out {out_dir} holds input files that the masks would overwrite")
     out_dir.mkdir(parents=True, exist_ok=True)
-    images = _input_images(Path(args.images))
     for path in images:
         image = read_pgm(path, maxval=MAXVAL)
         want = (net_cfg.input_size, net_cfg.input_size)

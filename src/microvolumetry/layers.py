@@ -200,7 +200,7 @@ def conv2d_backward(x: np.ndarray, weights: np.ndarray, spec: ConvSpec, d_output
             f"d_output shape {d_output.shape} != {(s.batch, spec.out_channels, ho, wo)}"
         )
     d_om = d_output.reshape(s.batch, spec.out_channels, ho * wo)
-    d_wmat = np.zeros((spec.out_channels, s.channels * k * k))
+    d_wmat = np.zeros((spec.out_channels, s.channels * k * k), dtype=x.dtype)
     step = _chunk_rows(s.batch, s.channels, k, wo)
     for r0 in range(0, ho, step):
         r1 = min(ho, r0 + step)
@@ -214,8 +214,8 @@ def conv2d_backward(x: np.ndarray, weights: np.ndarray, spec: ConvSpec, d_output
     return LayerGrad(d_x, d_wmat.reshape(weights.shape), d_bias)
 
 
-def maxpool2_forward(x: np.ndarray) -> np.ndarray:
-    """2x2/stride-2 max pooling: the element-wise maximum of the four window corners.
+def _pool_max(x: np.ndarray) -> np.ndarray:
+    """The element-wise maximum of the four 2x2 window corners.
 
     A NaN anywhere in a window pools to NaN. np.maximum returns its second
     argument when the two compare equal, so the corners are folded last to
@@ -230,20 +230,29 @@ def maxpool2_forward(x: np.ndarray) -> np.ndarray:
     )
 
 
+def maxpool2_forward(x: np.ndarray) -> np.ndarray:
+    """2x2/stride-2 max pooling; see `_pool_max` for NaN and ties."""
+    return _pool_max(x)
+
+
 def maxpool2_backward(x: np.ndarray, d_output: np.ndarray) -> np.ndarray:
     """Route each upstream gradient to its window's first maximum in the pool input x.
 
-    The argmax is recomputed from x, not kept from the forward; as there, a
-    NaN wins its window.
+    The argmax is recomputed from x, not kept from the forward: the corners
+    are visited in row-major order and the first one equal to the pooled
+    value, or the first NaN, takes the gradient.
     """
-    n, c, h, w = Shape4.of(x)
-    h2, w2 = h // 2, w // 2
-    if h % 2 or w % 2 or d_output.shape != (n, c, h2, w2):
+    pooled = _pool_max(x)
+    if d_output.shape != pooled.shape:
         raise ShapeError(f"d_output shape {d_output.shape} is not the pooled shape of input {x.shape}")
-    windows = x.reshape(n, c, h2, 2, w2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h2, w2, 4)
-    d_windows = np.zeros((n, c, h2, w2, 4), dtype=np.float64)
-    np.put_along_axis(d_windows, windows.argmax(axis=-1)[..., None], d_output[..., None], axis=-1)
-    return d_windows.reshape(n, c, h2, w2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(x.shape)
+    d_x = np.zeros_like(x)
+    unclaimed = np.ones(pooled.shape, dtype=bool)
+    for dy, dx in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        corner = x[:, :, dy::2, dx::2]
+        hit = unclaimed & ((corner == pooled) | np.isnan(corner))
+        np.copyto(d_x[:, :, dy::2, dx::2], d_output, where=hit)
+        unclaimed &= ~hit
+    return d_x
 
 
 def _check_tconv_args(x, weights, bias) -> Shape4:

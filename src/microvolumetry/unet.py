@@ -6,7 +6,8 @@ pooling), a bottleneck pair at base*2^depth channels without pooling, and
 `depth` expansion steps (2x2/stride-2 transposed convolution halving
 channels, skip concatenation with the matching contraction output, two 3x3
 convolutions + ReLU), finished by a 1x1 classification convolution and a
-sigmoid or softmax head.
+sigmoid or softmax head. The input is one grayscale channel and the head
+scores NUM_CLASSES (background, bone, implant); neither is configurable.
 
 Parameters are an ordered mapping {layer name: (weights, bias)}; gradients
 mirror that structure. The training cache holds {stage: (input, conv1, conv2
@@ -48,6 +49,8 @@ OUTPUT_HEADS = ("sigmoid", "softmax")
 
 CHECKPOINT_MAGIC = b"UNETCKPT"
 CHECKPOINT_VERSION = 1
+# The fixed header prefix: magic, version, six-u32 config block, output-head byte.
+_PREFIX = struct.Struct("<8sI6IB")
 
 Params = dict[str, tuple[np.ndarray, np.ndarray]]
 
@@ -56,17 +59,13 @@ Params = dict[str, tuple[np.ndarray, np.ndarray]]
 class UNetConfig:
     depth: int = 4
     base_channels: int = 64
-    in_channels: int = 1
-    num_classes: int = NUM_CLASSES
     output_head: str = "sigmoid"
     input_size: int = 512
     use_skips: bool = True
 
     def __post_init__(self):
-        if self.depth < 1 or self.base_channels < 1 or self.in_channels < 1:
-            raise ValidationError("depth, base_channels, in_channels must be >= 1")
-        if self.num_classes != NUM_CLASSES:
-            raise ValidationError(f"this pipeline is fixed at {NUM_CLASSES} classes")
+        if self.depth < 1 or self.base_channels < 1:
+            raise ValidationError("depth and base_channels must be >= 1")
         if self.output_head not in OUTPUT_HEADS:
             raise ValidationError(f"output_head must be one of {OUTPUT_HEADS}")
         # 2^depth > input_size exactly when depth >= its bit length; testing
@@ -89,7 +88,7 @@ def param_shapes(config: UNetConfig) -> dict[str, tuple[str, tuple[int, ...]]]:
     """Ordered {name: (kind, weight shape)}; bias shape follows from kind."""
     shapes: dict[str, tuple[str, tuple[int, ...]]] = {}
     for i in range(config.depth):
-        cin = config.in_channels if i == 0 else _enc_channels(config, i - 1)
+        cin = 1 if i == 0 else _enc_channels(config, i - 1)
         cout = _enc_channels(config, i)
         shapes[f"enc{i}.conv1"] = ("conv", (cout, cin, 3, 3))
         shapes[f"enc{i}.conv2"] = ("conv", (cout, cout, 3, 3))
@@ -103,7 +102,7 @@ def param_shapes(config: UNetConfig) -> dict[str, tuple[str, tuple[int, ...]]]:
         shapes[f"dec{i}.tconv"] = ("tconv", (cin, cout, 2, 2))
         shapes[f"dec{i}.conv1"] = ("conv", (cout, joined, 3, 3))
         shapes[f"dec{i}.conv2"] = ("conv", (cout, cout, 3, 3))
-    shapes["head"] = ("conv", (config.num_classes, config.base_channels, 1, 1))
+    shapes["head"] = ("conv", (NUM_CLASSES, config.base_channels, 1, 1))
     return shapes
 
 
@@ -185,8 +184,8 @@ def forward(
     Pass want_cache=False for inference to skip retaining activations.
     """
     s = Shape4.of(batch)
-    if s.channels != config.in_channels:
-        raise ShapeError(f"batch has {s.channels} channels, config wants {config.in_channels}")
+    if s.channels != 1:
+        raise ShapeError(f"batch has {s.channels} channels, the network takes 1")
     if s.height != config.input_size or s.width != config.input_size:
         raise ShapeError(
             f"batch is {s.height}x{s.width}, config wants {config.input_size}x{config.input_size}"
@@ -258,9 +257,11 @@ def backward(params: Params, config: UNetConfig, cache: dict, d_scores: np.ndarr
 def _header_parts(config: UNetConfig) -> list[tuple[str, bytes]]:
     """Every checkpoint byte before the payload, as labelled (field, bytes) parts.
 
-    The only statement of the layout. Integers are little-endian u32, the output
-    head is one enum byte, and the table lists `<name>.w` then `<name>.b` for
-    each layer in `param_shapes` order, as length-prefixed UTF-8 name and shape.
+    The only statement of the layout. Integers are little-endian u32; the config
+    block is depth, base channels, input channels (always 1), classes (always
+    NUM_CLASSES), input size and use_skips. The output head is one enum byte, and
+    the table lists `<name>.w` then `<name>.b` for each layer in `param_shapes`
+    order, as length-prefixed UTF-8 name and shape.
     """
     entries: list[tuple[str, tuple[int, ...]]] = []
     for name, (kind, wshape) in param_shapes(config).items():
@@ -268,8 +269,8 @@ def _header_parts(config: UNetConfig) -> list[tuple[str, bytes]]:
     parts = [
         ("magic", CHECKPOINT_MAGIC),
         ("version", struct.pack("<I", CHECKPOINT_VERSION)),
-        ("config block", struct.pack("<6I", config.depth, config.base_channels, config.in_channels,
-                                     config.num_classes, config.input_size, int(config.use_skips))),
+        ("config block", struct.pack("<6I", config.depth, config.base_channels, 1, NUM_CLASSES,
+                                     config.input_size, int(config.use_skips))),
         ("output head", struct.pack("<B", OUTPUT_HEADS.index(config.output_head))),
         ("entry count", struct.pack("<I", len(entries))),
     ]
@@ -292,45 +293,27 @@ def save_checkpoint(params: Params, config: UNetConfig, path) -> None:
     _write_atomic(path, itertools.chain(header, payload))
 
 
-def load_checkpoint(path, expected_config: UNetConfig | None = None) -> tuple[Params, UNetConfig]:
-    """Read a checkpoint. The config block decides the network; every header byte
+def load_checkpoint(path) -> tuple[Params, UNetConfig]:
+    """Read a checkpoint. The fixed prefix decides the network; every header byte
     must then equal what `save_checkpoint` writes for it before any tensor is read."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
+        prefix = fh.read(_PREFIX.size)
+        magic = prefix[: len(CHECKPOINT_MAGIC)]
         if magic != CHECKPOINT_MAGIC:
             raise CheckpointError(f"bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
-        off = len(magic)
-
-        def take(fmt: str, what: str):
-            nonlocal off
-            size = struct.calcsize(fmt)
-            chunk = fh.read(size)
-            if len(chunk) < size:
-                raise CheckpointError(f"truncated checkpoint while reading {what} at byte {off}")
-            off += size
-            return struct.unpack(fmt, chunk)
-
-        (version,) = take("<I", "version")
+        if len(prefix) < _PREFIX.size:
+            raise CheckpointError(f"truncated checkpoint at byte {len(prefix)}, inside the "
+                                  f"{_PREFIX.size}-byte fixed header")
+        _, version, depth, base, _, _, input_size, use_skips, head_b = _PREFIX.unpack(prefix)
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version}")
-        depth, base, in_ch, classes, input_size, use_skips = take("<IIIIII", "config block")
-        (head_b,) = take("<B", "output head")
         if head_b >= len(OUTPUT_HEADS):
             raise CheckpointError(f"unknown output-head byte {head_b}")
         try:
-            config = UNetConfig(
-                depth=depth,
-                base_channels=base,
-                in_channels=in_ch,
-                num_classes=classes,
-                output_head=OUTPUT_HEADS[head_b],
-                input_size=input_size,
-                use_skips=bool(use_skips),
-            )
+            config = UNetConfig(depth=depth, base_channels=base, output_head=OUTPUT_HEADS[head_b],
+                                input_size=input_size, use_skips=bool(use_skips))
         except ValidationError as exc:
             raise CheckpointError(f"invalid config block: {exc}") from exc
-        if expected_config is not None and config != expected_config:
-            raise CheckpointError(f"checkpoint config {config} does not match expected {expected_config}")
 
         fh.seek(0)
         off = 0

@@ -97,6 +97,12 @@ class TestTrain:
         assert main(["train", "--config", str(cfg)]) == 2
         assert "momentum" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("num_classes", 3), ("in_channels", 1)])
+    def test_fixed_network_count_key_exits_2_naming_the_line(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path / "run.cfg", dataset="d", depth=1, **{key: value})
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert f"run.cfg:3: unknown config key '{key}'" in capsys.readouterr().err
+
     def test_non_utf8_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_bytes(NON_UTF8_CONFIG)
@@ -187,6 +193,18 @@ class TestPredict:
         err = capsys.readouterr().err
         assert "scan8.pgm" in err and "maxval 255" in err
         assert not list((tmp_path / "pred").glob("*.pgm"))
+
+    @pytest.mark.parametrize("images, out", [("", "masks"), ("", "images"), ("images", "images")])
+    def test_out_holding_an_input_exits_2_and_writes_nothing(self, trained, tmp_path, capsys,
+                                                              images, out):
+        data = tmp_path / "data"
+        shutil.copytree(trained / "data", data)
+        before = {p.name: p.read_bytes() for p in (data / out).iterdir()}
+        code = main(["predict", "--checkpoint", str(trained / "model.ckpt"),
+                     "--images", str(data / images), "--out", str(data / out)])
+        assert code == 2
+        assert "overwrite" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in (data / out).iterdir()} == before
 
     def test_missing_checkpoint_exits_3(self, tmp_path):
         code = main([

@@ -258,6 +258,17 @@ class TestMaxPool:
         assert out.dtype == dtype
         assert out.tobytes() == first.tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_backward_matches_window_argmax_scatter(self, dtype):
+        rng = np.random.default_rng(6)
+        x = rng.choice(np.array([0.0, -0.0, 1.0, np.nan], dtype=dtype), size=(2, 3, 6, 8))
+        d = rng.standard_normal((2, 3, 3, 4)).astype(dtype)
+        windows = x.reshape(2, 3, 3, 2, 4, 2).transpose(0, 1, 2, 4, 3, 5).reshape(2, 3, 3, 4, 4)
+        expected = np.zeros_like(windows)
+        np.put_along_axis(expected, windows.argmax(-1)[..., None], d[..., None], -1)
+        expected = expected.reshape(2, 3, 3, 4, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(x.shape)
+        assert L.maxpool2_backward(x, d).tobytes() == expected.tobytes()
+
     def test_gradient_routes_to_argmax(self):
         x = np.array([[1.0, 2.0], [3.0, 0.0]]).reshape(1, 1, 2, 2)
         d = L.maxpool2_backward(x, np.full((1, 1, 1, 1), 7.0))
@@ -273,6 +284,19 @@ class TestMaxPool:
     def test_backward_rejects_d_output_not_half_of_x(self, d_shape):
         with pytest.raises(ShapeError):
             L.maxpool2_backward(np.zeros((1, 1, 2, 2)), np.ones(d_shape))
+
+
+def test_float32_backward_kernels_return_float32():
+    rng = np.random.default_rng(0)
+
+    def f32(*shape):
+        return rng.standard_normal(shape).astype(np.float32)
+
+    x = f32(2, 3, 8, 8)
+    conv = L.conv2d_backward(x, f32(4, 3, 3, 3), ConvSpec(3, 4), f32(2, 4, 8, 8))
+    tconv = L.tconv2_backward(x, f32(3, 2, 2, 2), f32(2, 2, 16, 16))
+    pool = L.maxpool2_backward(x, f32(2, 3, 4, 4))
+    assert [a.dtype for a in (*conv, *tconv, pool)] == [np.float32] * 7
 
 
 class TestTransposedConv:

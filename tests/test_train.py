@@ -1,3 +1,7 @@
+import re
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -79,6 +83,15 @@ class TestParseConfig:
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             mv.parse_config(tmp_path / "absent.cfg")
+
+
+def test_readme_config_keys_are_the_run_config_fields():
+    """The README's config-key sentence names every parser key, in field order."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    start = readme.index("The keys are")
+    sentence = readme[start : readme.index(";", start)]
+    named = [n for n in re.findall(r"`(\w+)`", sentence) if n not in ("UNetConfig", "RunConfig")]
+    assert named == [f.name for f in fields(mv.RunConfig)]
 
 
 class TestRunConfigValidation:
