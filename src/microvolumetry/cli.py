@@ -42,7 +42,7 @@ from .metrics import (
     read_reference,
     write_report,
 )
-from .tensor import argmax_channel
+from .tensor import NUM_CLASSES, argmax_channel
 from .train import parse_config, run_training
 from .unet import forward, load_checkpoint
 
@@ -117,7 +117,10 @@ def cmd_predict(args) -> int:
 
 
 def _paired_masks(pred_dir: Path, truth_dir: Path) -> list[tuple[Path, Path]]:
-    """(predicted, truth) mask files matched by file name; any unmatched name is an error."""
+    """(predicted, truth) mask files matched by file name; an unmatched name is an error,
+    and so is one directory given as both, which would score every mask against itself."""
+    if pred_dir.resolve() == truth_dir.resolve():
+        raise ValidationError(f"--pred {pred_dir} and --truth {truth_dir} are the same directory")
     pred = {p.name: p for p in _mask_files(pred_dir)}
     truth = {p.name: p for p in _mask_files(truth_dir)}
     only_pred = sorted(pred.keys() - truth.keys())
@@ -132,7 +135,7 @@ def _paired_masks(pred_dir: Path, truth_dir: Path) -> list[tuple[Path, Path]]:
 
 
 def cmd_evaluate(args) -> int:
-    counts = np.zeros((3, 3), dtype=np.int64)
+    counts = np.zeros((NUM_CLASSES, NUM_CLASSES), dtype=np.int64)
     for pred_path, truth_path in _paired_masks(Path(args.pred), Path(args.truth)):
         pred, truth = read_mask(pred_path), read_mask(truth_path)
         if pred.shape != truth.shape:
@@ -141,14 +144,14 @@ def cmd_evaluate(args) -> int:
             )
         counts += confusion(pred, truth)
     acc = pixel_accuracy(counts)
-    dices = [dice(counts, k) for k in range(3)]
+    dices = [dice(counts, k) for k in range(NUM_CLASSES)]
     print("confusion (rows true class, columns predicted):")
     for row in counts:
         print("  " + " ".join(f"{v:>12d}" for v in row))
     print(f"accuracy: {acc:.6f}")
     for k, d in enumerate(dices):
         print(f"dice_{k}: {d:.6f}")
-    header = "accuracy,dice_0,dice_1,dice_2"
+    header = ",".join(["accuracy"] + [f"dice_{k}" for k in range(NUM_CLASSES)])
     row = f"{acc:.6f}," + ",".join(f"{d:.6f}" for d in dices)
     _write_atomic(args.out, [f"{header}\n{row}\n".encode("utf-8")])
     print(f"metrics: {args.out}")
@@ -167,7 +170,7 @@ def cmd_volumetry(args) -> int:
 
     counts = None
     if args.truth is not None:
-        counts = np.zeros((3, 3), dtype=np.int64)
+        counts = np.zeros((NUM_CLASSES, NUM_CLASSES), dtype=np.int64)
         for pred, (_, truth_path) in zip(pred_masks, pairs):
             counts += confusion(pred, read_mask(truth_path))
 

@@ -23,6 +23,7 @@ import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from .errors import DataMismatchError, PgmFormatError, ValidationError
+from .tensor import NUM_CLASSES
 
 MAXVAL = 65535
 
@@ -42,8 +43,8 @@ def validate_mask(mask: np.ndarray) -> np.ndarray:
     mask = np.asarray(mask)
     if mask.ndim != 2:
         raise ValidationError(f"mask must be 2-d, got shape {mask.shape}")
-    if mask.size and not np.isin(mask, (0, 1, 2)).all():
-        raise ValidationError("mask contains labels outside {0, 1, 2}")
+    if mask.size and not np.isin(mask, range(NUM_CLASSES)).all():
+        raise ValidationError(f"mask contains labels outside {set(range(NUM_CLASSES))}")
     return mask.astype(np.uint8)
 
 
@@ -155,9 +156,9 @@ def write_pgm(arr: np.ndarray, path) -> None:
 
 
 def encode_one_hot(mask: np.ndarray) -> np.ndarray:
-    """(1, 3, H, W) one-hot tensor; channel k indicates label k."""
+    """(1, NUM_CLASSES, H, W) one-hot tensor; channel k indicates label k."""
     mask = validate_mask(mask)
-    return (mask[None, None, :, :] == np.arange(3)[None, :, None, None]).astype(np.float64)
+    return (mask[None, None, :, :] == np.arange(NUM_CLASSES)[None, :, None, None]).astype(np.float64)
 
 
 @dataclass

@@ -7,9 +7,9 @@ pass is checked against central finite differences by `gradient_check`.
 
 The conv backward handles stride 1 only (the only stride the network
 uses) and never scatters patches back: d_input is itself a correlation of
-the zero-padded d_output with the flipped, channel-transposed kernel, run
-through the same im2col + GEMM path as the forward. That path writes the
-zero padding straight into the patch matrix; no padded copy is made. Max
+the zero-padded d_output with the flipped, channel-transposed kernel. Every
+patch matrix, forward and backward, comes from `_patches`, which zero-pads
+one band of input rows at a time and reshapes its sliding windows. Max
 pooling keeps no argmax: its backward recomputes each window's argmax from
 the pool input, which a training cache holds anyway.
 
@@ -23,12 +23,13 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import expit
 
 from .errors import ShapeError, ValidationError
 from .tensor import Shape4
 
-# Cap on the im2col scratch buffer so 512x512 forwards fit in small RAM.
+# Cap on the patch matrix of one row chunk so 512x512 forwards fit in small RAM.
 _COL_CHUNK_BYTES = 128 * 2**20
 
 CCE_EPS = 1e-7
@@ -92,56 +93,41 @@ def _chunk_rows(n: int, c: int, k: int, wo: int) -> int:
     return max(1, _COL_CHUNK_BYTES // max(per_row, 1))
 
 
-def _inside(lo: int, hi: int, offset: int, stride: int, size: int) -> tuple[int, int]:
-    """The run [a, b) of outputs i in [lo, hi) whose input i*stride + offset is in [0, size)."""
-    a = min(max(lo, -(offset // stride)), hi)
-    b = max(min(hi, (size - 1 - offset) // stride + 1), a)
-    return a, b
+def _patches(x: np.ndarray, k: int, stride: int, p: int, ho: int, wo: int):
+    """Yield (output column slice, patch matrix) for each chunk of output rows.
 
-
-def _im2col(x: np.ndarray, k: int, stride: int, p: int, r0: int, r1: int, wo: int) -> np.ndarray:
-    """Batch-major patch matrix (N, C*k*k, rows*wo) for output rows [r0, r1).
-
-    x is read as if zero-padded by p on each side (cropped by -p when p < 0):
-    taps that fall outside x are zeroed in the patch matrix, so no padded
-    copy of x is ever made.
+    The patch matrix is batch-major, (N, C*k*k, rows*wo). Each chunk copies
+    the input rows it reads into a zero band, which is x padded by p on each
+    side (cropped by -p when p < 0), and reshapes the band's k x k sliding
+    windows, taken at the stride.
     """
     n, c, h, w = x.shape
-    col = np.empty((n, c, k, k, r1 - r0, wo), dtype=x.dtype)
-    ys = [_inside(r0, r1, d - p, stride, h) for d in range(k)]
-    xs = [_inside(0, wo, d - p, stride, w) for d in range(k)]
-    for d, ((ya, yb), (xa, xb)) in enumerate(zip(ys, xs)):
-        col[:, :, d, :, : ya - r0] = 0.0
-        col[:, :, d, :, yb - r0 :] = 0.0
-        col[:, :, :, d, :, :xa] = 0.0
-        col[:, :, :, d, :, xb:] = 0.0
-    for dy, (ya, yb) in enumerate(ys):
-        for dx, (xa, xb) in enumerate(xs):
-            if ya < yb and xa < xb:
-                y0, x0 = ya * stride + dy - p, xa * stride + dx - p
-                col[:, :, dy, dx, ya - r0 : yb - r0, xa:xb] = x[
-                    :, :, y0 : y0 + (yb - ya - 1) * stride + 1 : stride,
-                    x0 : x0 + (xb - xa - 1) * stride + 1 : stride,
-                ]
-    return col.reshape(n, c * k * k, (r1 - r0) * wo)
+    step = _chunk_rows(n, c, k, wo)
+    band_w = (wo - 1) * stride + k
+    xa, xb = max(-p, 0), min(band_w - p, w)
+    for r0 in range(0, ho, step):
+        r1 = min(ho, r0 + step)
+        y0 = r0 * stride - p  # the input row that the band's first row holds
+        band = np.zeros((n, c, (r1 - r0 - 1) * stride + k, band_w), dtype=x.dtype)
+        ya, yb = max(y0, 0), min(y0 + band.shape[2], h)
+        if ya < yb and xa < xb:
+            band[:, :, ya - y0 : yb - y0, xa + p : xb + p] = x[:, :, ya:yb, xa:xb]
+        win = sliding_window_view(band, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+        cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * k * k, (r1 - r0) * wo)
+        del band, win  # keep only the patch matrix alive while the caller runs its GEMM
+        yield slice(r0 * wo, r1 * wo), cols
 
 
-def _correlate(
-    x: np.ndarray, wmat: np.ndarray, k: int, stride: int, p: int, ho: int, wo: int
-) -> np.ndarray:
+def _correlate(x: np.ndarray, wmat: np.ndarray, k: int, stride: int, p: int, ho: int, wo: int) -> np.ndarray:
     """Bias-free cross-correlation of x, zero-padded by p, with `wmat` (Cout, C*k*k).
 
     Runs one GEMM per image and row chunk, each writing straight into its
     slice of the (N, Cout, ho, wo) result.
     """
-    n, c = x.shape[:2]
-    out = np.empty((n, wmat.shape[0], ho * wo), dtype=x.dtype)
-    step = _chunk_rows(n, c, k, wo)
-    for r0 in range(0, ho, step):
-        r1 = min(ho, r0 + step)
-        cols = _im2col(x, k, stride, p, r0, r1, wo)
-        np.matmul(wmat, cols, out=out[:, :, r0 * wo : r1 * wo])
-    return out.reshape(n, wmat.shape[0], ho, wo)
+    out = np.empty((x.shape[0], wmat.shape[0], ho * wo), dtype=x.dtype)
+    for cols_at, cols in _patches(x, k, stride, p, ho, wo):
+        np.matmul(wmat, cols, out=out[:, :, cols_at])
+    return out.reshape(x.shape[0], wmat.shape[0], ho, wo)
 
 
 def conv2d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray, spec: ConvSpec) -> np.ndarray:
@@ -201,12 +187,9 @@ def conv2d_backward(x: np.ndarray, weights: np.ndarray, spec: ConvSpec, d_output
         )
     d_om = d_output.reshape(s.batch, spec.out_channels, ho * wo)
     d_wmat = np.zeros((spec.out_channels, s.channels * k * k), dtype=x.dtype)
-    step = _chunk_rows(s.batch, s.channels, k, wo)
-    for r0 in range(0, ho, step):
-        r1 = min(ho, r0 + step)
-        cols = _im2col(x, k, 1, p, r0, r1, wo)
+    for cols_at, cols in _patches(x, k, 1, p, ho, wo):
         for b in range(s.batch):
-            d_wmat += d_om[b, :, r0 * wo : r1 * wo] @ cols[b].T
+            d_wmat += d_om[b, :, cols_at] @ cols[b].T
     del cols  # free the patch matrix before the d_input correlation builds its own
     w_flip = weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(s.channels, -1)
     d_x = _correlate(d_output, w_flip, k, 1, k - 1 - p, s.height, s.width)

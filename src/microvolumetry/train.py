@@ -29,7 +29,7 @@ from .errors import DataMismatchError, DivergenceError, ValidationError
 from .layers import categorical_cross_entropy
 from .metrics import confusion
 from .optim import adam_step, init_adam
-from .tensor import argmax_channel
+from .tensor import NUM_CLASSES, argmax_channel
 from .unet import UNetConfig, backward, build, forward, save_checkpoint
 
 METRICS_HEADER = "epoch,train_loss,train_acc,val_loss,val_acc"
@@ -164,7 +164,7 @@ def _make_batch(items, idx):
 def _evaluate(params, net_cfg, items, indices, batch_size):
     """Mean per-pixel loss and accuracy plus a confusion matrix, no caching."""
     loss_sum, pixel_total = 0.0, 0
-    counts = np.zeros((3, 3), dtype=np.int64)
+    counts = np.zeros((NUM_CLASSES, NUM_CLASSES), dtype=np.int64)
     for idx in _batches(indices, batch_size):
         x, target, masks = _make_batch(items, idx)
         out, _ = forward(params, net_cfg, x, want_cache=False)
@@ -178,9 +178,9 @@ def _evaluate(params, net_cfg, items, indices, batch_size):
 
 
 def run_training(config: RunConfig, log=None) -> TrainingResult:
-    """Train per config; write metrics CSV and final checkpoint.
+    """Train per config; rewrite the metrics CSV after every epoch, then save the checkpoint.
 
-    Raises DivergenceError as soon as a non-finite loss appears.
+    Raises DivergenceError at the first non-finite loss, with every finished epoch's row on disk.
     """
     say = log if log is not None else lambda *_: None
     pairs = load_manifest(config.dataset)
@@ -193,8 +193,8 @@ def run_training(config: RunConfig, log=None) -> TrainingResult:
     state = init_adam(params, lr=config.lr, beta1=config.beta1,
                       beta2=config.beta2, epsilon=config.epsilon)
 
+    metrics_path = Path(config.metrics)
     rows = []
-    val_loss, val_acc, val_counts = 0.0, 0.0, np.zeros((3, 3), dtype=np.int64)
     for epoch in range(1, config.epochs + 1):
         order = np.random.default_rng(config.seed + epoch).permutation(len(split.train))
         loss_sum, hit_sum, pixel_total = 0.0, 0, 0
@@ -221,10 +221,9 @@ def run_training(config: RunConfig, log=None) -> TrainingResult:
         row = f"{epoch},{train_loss:.6f},{train_acc:.6f},{val_loss:.6f},{val_acc:.6f}"
         rows.append(row)
         say(row)
+        text = METRICS_HEADER + "\n" + "".join(r + "\n" for r in rows)
+        _write_atomic(metrics_path, [text.encode("utf-8")])
 
-    metrics_path = Path(config.metrics)
-    text = METRICS_HEADER + "\n" + "".join(r + "\n" for r in rows)
-    _write_atomic(metrics_path, [text.encode("utf-8")])
     checkpoint_path = Path(config.checkpoint)
     save_checkpoint(params, net_cfg, checkpoint_path)
     return TrainingResult(

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import microvolumetry as mv
+import microvolumetry.cli as cli
 import microvolumetry.train as train_mod
 from microvolumetry.cli import main
 
@@ -22,6 +23,10 @@ def gen_args(out, count=4, size=16, seed=3):
         "gen", "--out", str(out), "--count", str(count),
         "--size", str(size), "--seed", str(seed),
     ]
+
+
+def unreachable(*args):
+    raise AssertionError(f"called with {args}")
 
 
 def renamed_copy(masks, out):
@@ -236,8 +241,9 @@ class TestPredict:
 class TestEvaluate:
     def test_truth_vs_itself_is_perfect(self, trained, tmp_path, capsys):
         truth = trained / "data" / "masks"
+        pred = shutil.copytree(truth, tmp_path / "pred")
         out = tmp_path / "eval.csv"
-        code = main(["evaluate", "--pred", str(truth), "--truth", str(truth),
+        code = main(["evaluate", "--pred", str(pred), "--truth", str(truth),
                      "--out", str(out)])
         assert code == 0
         text = capsys.readouterr().out
@@ -278,6 +284,17 @@ class TestEvaluate:
                      "--out", str(tmp_path / "eval.csv")])
         assert code == 4
         assert "renamed_00000.pgm" in capsys.readouterr().err
+
+    def test_same_directory_as_truth_exits_2_before_reading_a_mask(self, trained, tmp_path,
+                                                                   capsys, monkeypatch):
+        monkeypatch.setattr(cli, "read_mask", unreachable)
+        masks = trained / "data" / "masks"
+        out = tmp_path / "eval.csv"
+        code = main(["evaluate", "--pred", str(masks), "--truth", str(masks / ".." / "masks"),
+                     "--out", str(out)])
+        assert code == 2
+        assert "same directory" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_empty_pred_dir_exits_4(self, trained, tmp_path):
         empty = tmp_path / "empty"
@@ -327,9 +344,10 @@ class TestVolumetry:
 
     def test_truth_dir_fills_quality_columns(self, trained, tmp_path):
         truth = trained / "data" / "masks"
+        pred = shutil.copytree(truth, tmp_path / "pred")
         out = tmp_path / "vol.csv"
         ref = write_reference(tmp_path / "ref.txt", pixels=1000, volume="10.0")
-        code = main(["volumetry", "--pred", str(truth), "--truth", str(truth),
+        code = main(["volumetry", "--pred", str(pred), "--truth", str(truth),
                      "--reference", str(ref), "--out", str(out)])
         assert code == 0
         cells = out.read_text().splitlines()[1].split(",")
@@ -343,6 +361,18 @@ class TestVolumetry:
                      "--reference", str(ref), "--out", str(tmp_path / "vol.csv")])
         assert code == 4
         assert "phantom_00000.pgm" in capsys.readouterr().err
+
+    def test_truth_same_directory_as_pred_exits_2_before_reading_a_mask(self, trained, tmp_path,
+                                                                        capsys, monkeypatch):
+        monkeypatch.setattr(cli, "read_mask", unreachable)
+        masks = trained / "data" / "masks"
+        ref = write_reference(tmp_path / "ref.txt", pixels=1000, volume="10.0")
+        out = tmp_path / "vol.csv"
+        code = main(["volumetry", "--pred", str(masks), "--truth", str(masks / ".." / "masks"),
+                     "--reference", str(ref), "--out", str(out)])
+        assert code == 2
+        assert "same directory" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_malformed_reference_exits_2_naming_line(self, trained, tmp_path, capsys):
         ref = tmp_path / "ref.txt"

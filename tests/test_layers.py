@@ -182,6 +182,41 @@ class TestChunkedConv:
             assert np.abs(a - b).max() < 1e-12
 
 
+def reference_patches(x, k, stride, p, ho, wo):
+    """The (N, C*k*k, ho*wo) patch matrix from an explicitly padded (or cropped) copy of x."""
+    n, c, h, w = x.shape
+    if p >= 0:
+        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    else:
+        xp = x[:, :, -p : h + p, -p : w + p]
+    col = np.empty((n, c, k, k, ho, wo), dtype=x.dtype)
+    for dy in range(k):
+        for dx in range(k):
+            col[:, :, dy, dx] = xp[:, :, dy : dy + (ho - 1) * stride + 1 : stride,
+                                   dx : dx + (wo - 1) * stride + 1 : stride]
+    return col.reshape(n, c * k * k, ho * wo)
+
+
+class TestPatches:
+    """`_patches` row by row equals the patch matrix of a padded copy, bit for bit."""
+
+    GEOMETRIES = [(k, 1, p) for k in (1, 3, 5) for p in range(-2, k + 2)] + [
+        (k, 2, p) for k in (1, 3, 5) for p in range(k + 2)
+    ]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("k,stride,p", GEOMETRIES)
+    def test_one_row_chunks_equal_padded_reference(self, monkeypatch, k, stride, p, dtype):
+        monkeypatch.setattr(L, "_COL_CHUNK_BYTES", 1)
+        x = np.random.default_rng(k * 10 + p + 2).standard_normal((2, 3, 11, 9)).astype(dtype)
+        ho, wo = (11 + 2 * p - k) // stride + 1, (9 + 2 * p - k) // stride + 1
+        chunks = list(L._patches(x, k, stride, p, ho, wo))
+        assert [cols_at for cols_at, _ in chunks] == [slice(r * wo, (r + 1) * wo) for r in range(ho)]
+        got = np.concatenate([cols for _, cols in chunks], axis=2)
+        assert got.dtype == dtype
+        assert np.array_equal(got, reference_patches(x, k, stride, p, ho, wo))
+
+
 class TestFloat32Conv:
     """float32 inputs stay float32 and agree with the float64 oracle to float32 roundoff."""
 

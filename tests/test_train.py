@@ -215,6 +215,23 @@ class TestRunTraining:
         with pytest.raises(DivergenceError):
             mv.run_training(small_run_config(tmp_path, data_dir))
 
+    def test_divergence_leaves_the_finished_epochs_rows_on_disk(self, tmp_path, data_dir, monkeypatch):
+        clean = mv.run_training(small_run_config(tmp_path / "clean", data_dir, epochs=2))
+        finished = []  # the epoch rows the run has logged so far
+        real_loss = train_mod.categorical_cross_entropy
+
+        def nan_loss_from_epoch_3(pred, target):
+            loss, d_pred = real_loss(pred, target)
+            return (float("nan") if len(finished) == 2 else loss), d_pred
+
+        monkeypatch.setattr(train_mod, "categorical_cross_entropy", nan_loss_from_epoch_3)
+        cfg = small_run_config(tmp_path / "crash", data_dir, epochs=4)
+        with pytest.raises(DivergenceError, match="epoch 3"):
+            mv.run_training(cfg, log=lambda line: re.match(r"\d+,", line) and finished.append(line))
+        assert Path(cfg.metrics).read_bytes() == clean.metrics_path.read_bytes()  # header + 2 rows
+        assert not Path(cfg.checkpoint).exists()
+        assert sorted(p.name for p in Path(cfg.metrics).parent.iterdir()) == ["metrics.csv", "run.cfg"]
+
     def test_wrong_image_size_names_the_file(self, tmp_path, data_dir):
         cfg = small_run_config(tmp_path, data_dir, input_size=32)
         with pytest.raises(DataMismatchError, match="phantom_00000"):
