@@ -134,9 +134,17 @@ def _paired_masks(pred_dir: Path, truth_dir: Path) -> list[tuple[Path, Path]]:
     return [(pred[name], truth[name]) for name in sorted(pred)]
 
 
+def _refuse_out_over_input(out: str, inputs: list[Path]) -> None:
+    """A report written to --out must not replace a file that the command reads."""
+    if Path(out).resolve() in {path.resolve() for path in inputs}:
+        raise ValidationError(f"--out {out} is an input file that the report would overwrite")
+
+
 def cmd_evaluate(args) -> int:
+    pairs = _paired_masks(Path(args.pred), Path(args.truth))
+    _refuse_out_over_input(args.out, [path for pair in pairs for path in pair])
     counts = np.zeros((NUM_CLASSES, NUM_CLASSES), dtype=np.int64)
-    for pred_path, truth_path in _paired_masks(Path(args.pred), Path(args.truth)):
+    for pred_path, truth_path in pairs:
         pred, truth = read_mask(pred_path), read_mask(truth_path)
         if pred.shape != truth.shape:
             raise DataMismatchError(
@@ -164,6 +172,8 @@ def cmd_volumetry(args) -> int:
         pairs = [(p, None) for p in _mask_files(Path(args.pred))]
     else:
         pairs = _paired_masks(Path(args.pred), Path(args.truth))
+    inputs = [Path(args.reference)] + [path for pair in pairs for path in pair if path is not None]
+    _refuse_out_over_input(args.out, inputs)
     pred_masks = [read_mask(p) for p, _ in pairs]
     pixels_c = count_class_pixels(pred_masks, 1)
     report = calibrate_volume(pixels_c, pixels_m, v_m)

@@ -9,9 +9,10 @@ The conv backward handles stride 1 only (the only stride the network
 uses) and never scatters patches back: d_input is itself a correlation of
 the zero-padded d_output with the flipped, channel-transposed kernel. Every
 patch matrix, forward and backward, comes from `_patches`, which zero-pads
-one band of input rows at a time and reshapes its sliding windows. Max
-pooling keeps no argmax: its backward recomputes each window's argmax from
-the pool input, which a training cache holds anyway.
+one band of input rows at a time and copies its sliding windows into one
+patch buffer that every row chunk of the call reuses. Max pooling keeps no
+argmax: its backward recomputes each window's argmax from the pool input,
+which a training cache holds anyway.
 
 Arrays are laid out (batch, channels, height, width). Every kernel returns
 the dtype of its input: training runs in float64, `predict` in float32.
@@ -98,24 +99,36 @@ def _patches(x: np.ndarray, k: int, stride: int, p: int, ho: int, wo: int):
 
     The patch matrix is batch-major, (N, C*k*k, rows*wo). Each chunk copies
     the input rows it reads into a zero band, which is x padded by p on each
-    side (cropped by -p when p < 0), and reshapes the band's k x k sliding
-    windows, taken at the stride.
+    side (cropped by -p when p < 0), and copies the band's k x k sliding
+    windows, taken at the stride, into the patch matrix.
+
+    One band and one patch buffer, sized for the first and largest chunk,
+    serve every chunk of the call: a yielded matrix is a view of that buffer
+    and holds its values only until the next chunk is drawn.
     """
     n, c, h, w = x.shape
-    step = _chunk_rows(n, c, k, wo)
+    step = min(_chunk_rows(n, c, k, wo), ho)
     band_w = (wo - 1) * stride + k
     xa, xb = max(-p, 0), min(band_w - p, w)
+    band = np.zeros((n, c, (step - 1) * stride + k, band_w), dtype=x.dtype)
+    buf = np.empty((n, c * k * k, step * wo), dtype=x.dtype)
+    buf6 = buf.reshape(n, c, k, k, step, wo)
     for r0 in range(0, ho, step):
         r1 = min(ho, r0 + step)
+        rows, band_h = r1 - r0, (r1 - r0 - 1) * stride + k
         y0 = r0 * stride - p  # the input row that the band's first row holds
-        band = np.zeros((n, c, (r1 - r0 - 1) * stride + k, band_w), dtype=x.dtype)
-        ya, yb = max(y0, 0), min(y0 + band.shape[2], h)
-        if ya < yb and xa < xb:
-            band[:, :, ya - y0 : yb - y0, xa + p : xb + p] = x[:, :, ya:yb, xa:xb]
-        win = sliding_window_view(band, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
-        cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * k * k, (r1 - r0) * wo)
-        del band, win  # keep only the patch matrix alive while the caller runs its GEMM
-        yield slice(r0 * wo, r1 * wo), cols
+        # Band rows [top, bottom) hold input rows; the rest are padding. Only
+        # the first chunks can start above the input and the last end below
+        # it, so elsewhere nothing is re-zeroed.
+        top = min(max(-y0, 0), band_h)
+        bottom = min(max(h - y0, top), band_h)
+        band[:, :, :top] = 0
+        band[:, :, bottom:band_h] = 0
+        if xa < xb:
+            band[:, :, top:bottom, xa + p : xb + p] = x[:, :, y0 + top : y0 + bottom, xa:xb]
+        win = sliding_window_view(band[:, :, :band_h], (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+        np.copyto(buf6[:, :, :, :, :rows], win.transpose(0, 1, 4, 5, 2, 3))
+        yield slice(r0 * wo, r1 * wo), buf[:, :, : rows * wo]
 
 
 def _correlate(x: np.ndarray, wmat: np.ndarray, k: int, stride: int, p: int, ho: int, wo: int) -> np.ndarray:

@@ -13,6 +13,11 @@ Parameters are an ordered mapping {layer name: (weights, bias)}; gradients
 mirror that structure. The training cache holds {stage: (input, conv1, conv2
 activation)} and the head output "out"; backward reads each pool, tconv and
 head input from the conv2 activation of the stage that produced it.
+
+Each decoder stage owns its input: `forward` passes the upsampled array and
+the skip it joins without keeping either, so without a cache the stage
+frees them once conv1 has read them. ReLU runs in place on each conv's
+fresh output; the cached activations are the same post-ReLU arrays.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ from .layers import (
     conv2d_forward,
     maxpool2_backward,
     maxpool2_forward,
-    relu,
     relu_backward,
     sigmoid,
     sigmoid_backward,
@@ -147,16 +151,27 @@ def _spec(w: np.ndarray) -> ConvSpec:
     return ConvSpec(w.shape[1], w.shape[0], kernel=w.shape[2])
 
 
-def _double_conv(params: Params, stage: str, x: np.ndarray, cache: dict | None) -> np.ndarray:
-    """conv1 -> ReLU -> conv2 -> ReLU of one stage; caches what backward needs.
+def _double_conv(params: Params, stage: str, cache: dict | None, x: np.ndarray,
+                 skip: np.ndarray | None = None) -> np.ndarray:
+    """conv1 -> ReLU -> conv2 -> ReLU of one stage over x, or over `skip`
+    joined before x; caches what backward needs.
 
-    Only the output is returned, so without a cache nothing else of the stage
-    outlives the call.
+    The block owns its inputs: pass them as expressions the caller does not
+    keep, and without a cache they are freed once conv1 has read them, so
+    only the stage output outlives the call. ReLU runs in place on each
+    conv's fresh output.
     """
+    if skip is not None:
+        x = concat_channels(skip, x)
+        del skip
     w1, b1 = params[f"{stage}.conv1"]
     w2, b2 = params[f"{stage}.conv2"]
-    a1 = relu(conv2d_forward(x, w1, b1, _spec(w1)))
-    a2 = relu(conv2d_forward(a1, w2, b2, _spec(w2)))
+    a1 = conv2d_forward(x, w1, b1, _spec(w1))
+    np.maximum(a1, 0.0, out=a1)
+    if cache is None:
+        del x
+    a2 = conv2d_forward(a1, w2, b2, _spec(w2))
+    np.maximum(a2, 0.0, out=a2)
     if cache is not None:
         cache[stage] = (x, a1, a2)
     return a2
@@ -194,19 +209,21 @@ def forward(
 
     cache: dict | None = {} if want_cache else None
     x = batch
-    skips: list[np.ndarray | None] = []
+    skips: list[np.ndarray] = []
     for i in range(config.depth):
-        skips.append(_double_conv(params, f"enc{i}", x, cache))
-        x = maxpool2_forward(skips[-1])
+        x = _double_conv(params, f"enc{i}", cache, x)
+        if config.use_skips:
+            skips.append(x)
+        x = maxpool2_forward(x)
 
-    x = _double_conv(params, "bottleneck", x, cache)
+    x = _double_conv(params, "bottleneck", cache, x)
 
     for i in reversed(range(config.depth)):
         wt, bt = params[f"dec{i}.tconv"]
-        up = tconv2_forward(x, wt, bt)
-        joined = concat_channels(skips[i], up) if config.use_skips else up
-        skips[i] = None  # free once consumed
-        x = _double_conv(params, f"dec{i}", joined, cache)
+        # Neither the upsampled array nor the skip is bound here, so the stage
+        # frees both, and their join, once its conv1 has read them.
+        x = _double_conv(params, f"dec{i}", cache, tconv2_forward(x, wt, bt),
+                         skips.pop() if config.use_skips else None)
 
     wh, bh = params["head"]
     pre = conv2d_forward(x, wh, bh, _spec(wh))

@@ -296,6 +296,19 @@ class TestEvaluate:
         assert "same directory" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("target", ["pred", "truth"])
+    def test_out_naming_an_input_mask_exits_2_and_leaves_it_unchanged(self, trained, tmp_path,
+                                                                       capsys, target):
+        dirs = {side: shutil.copytree(trained / "data" / "masks", tmp_path / side)
+                for side in ("pred", "truth")}
+        victim = dirs[target] / "phantom_00000.pgm"
+        before = victim.read_bytes()
+        code = main(["evaluate", "--pred", str(dirs["pred"]), "--truth", str(dirs["truth"]),
+                     "--out", str(dirs[target] / ".." / target / victim.name)])
+        assert code == 2
+        assert "input file" in capsys.readouterr().err
+        assert victim.read_bytes() == before
+
     def test_empty_pred_dir_exits_4(self, trained, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -373,6 +386,20 @@ class TestVolumetry:
         assert code == 2
         assert "same directory" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("target", ["pred", "truth", "reference"])
+    def test_out_naming_an_input_exits_2_and_leaves_it_unchanged(self, trained, tmp_path, capsys,
+                                                                 target):
+        inputs = {side: shutil.copytree(trained / "data" / "masks", tmp_path / side)
+                  / "phantom_00001.pgm" for side in ("pred", "truth")}
+        inputs["reference"] = write_reference(tmp_path / "ref.txt", pixels=1000, volume="10.0")
+        before = inputs[target].read_bytes()
+        code = main(["volumetry", "--pred", str(inputs["pred"].parent),
+                     "--truth", str(inputs["truth"].parent), "--reference", str(inputs["reference"]),
+                     "--out", str(inputs[target])])
+        assert code == 2
+        assert "input file" in capsys.readouterr().err
+        assert inputs[target].read_bytes() == before
 
     def test_malformed_reference_exits_2_naming_line(self, trained, tmp_path, capsys):
         ref = tmp_path / "ref.txt"

@@ -210,11 +210,30 @@ class TestPatches:
         monkeypatch.setattr(L, "_COL_CHUNK_BYTES", 1)
         x = np.random.default_rng(k * 10 + p + 2).standard_normal((2, 3, 11, 9)).astype(dtype)
         ho, wo = (11 + 2 * p - k) // stride + 1, (9 + 2 * p - k) // stride + 1
-        chunks = list(L._patches(x, k, stride, p, ho, wo))
+        chunks = [(cols_at, cols.copy()) for cols_at, cols in L._patches(x, k, stride, p, ho, wo)]
         assert [cols_at for cols_at, _ in chunks] == [slice(r * wo, (r + 1) * wo) for r in range(ho)]
         got = np.concatenate([cols for _, cols in chunks], axis=2)
         assert got.dtype == dtype
         assert np.array_equal(got, reference_patches(x, k, stride, p, ho, wo))
+
+    @pytest.mark.parametrize("k,stride,p", [(3, 1, 1), (3, 1, 4), (5, 1, -2), (3, 2, 1), (5, 2, 4)])
+    def test_uneven_chunks_equal_padded_reference(self, monkeypatch, k, stride, p):
+        """Chunks of four rows over 11 or fewer: the smaller last chunk reuses the
+        first chunk's band and buffer, and padding rows are zeroed again."""
+        x = np.random.default_rng(k + p + 7).standard_normal((2, 3, 11, 9))
+        ho, wo = (11 + 2 * p - k) // stride + 1, (9 + 2 * p - k) // stride + 1
+        monkeypatch.setattr(L, "_COL_CHUNK_BYTES", 4 * 2 * 3 * k * k * wo * 8)
+        chunks = [(cols_at, cols.copy()) for cols_at, cols in L._patches(x, k, stride, p, ho, wo)]
+        assert [cols_at.start for cols_at, _ in chunks] == list(range(0, ho * wo, 4 * wo))
+        got = np.concatenate([cols for _, cols in chunks], axis=2)
+        assert np.array_equal(got, reference_patches(x, k, stride, p, ho, wo))
+
+    def test_chunks_share_one_buffer(self, monkeypatch):
+        monkeypatch.setattr(L, "_COL_CHUNK_BYTES", 1)
+        x = np.random.default_rng(0).standard_normal((2, 3, 11, 9))
+        chunks = [cols for _, cols in L._patches(x, 3, 1, 1, 11, 9)]
+        assert len(chunks) == 11
+        assert all(np.shares_memory(a, b) for a, b in zip(chunks, chunks[1:]))
 
 
 class TestFloat32Conv:

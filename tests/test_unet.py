@@ -164,6 +164,27 @@ class TestForwardBackward:
         assert none is None
         assert np.array_equal(full, lean)
 
+    @pytest.mark.parametrize("depth, base, size", [(2, 8, 128), (3, 4, 128), (1, 8, 128)])
+    def test_inference_forward_holds_only_live_arrays(self, monkeypatch, depth, base, size):
+        """Decoder stage inputs die after conv1, ReLU runs in place and one patch buffer serves
+        every row chunk, so the working set stays within a few full-size activations."""
+        # Activations of 256 KiB and up keep the few KiB of Python objects that a
+        # forward of one-row chunks leaves to the garbage collector out of the ratio.
+        monkeypatch.setattr(mv.layers, "_COL_CHUNK_BYTES", 1)  # one output row per chunk
+        cfg = mv.UNetConfig(depth=depth, base_channels=base, input_size=size)
+        params = {name: (w.astype(np.float32), b.astype(np.float32))
+                  for name, (w, b) in mv.build(cfg, seed=0).items()}
+        x = np.random.default_rng(0).random((1, 1, size, size), dtype=np.float32)
+        largest_activation = base * size * size * 4
+        mv.forward(params, cfg, x, want_cache=False)  # first calls fill numpy's own caches
+        tracemalloc.start()
+        try:
+            mv.forward(params, cfg, x, want_cache=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.5 * largest_activation, peak / largest_activation
+
     @pytest.mark.parametrize("head", ["sigmoid", "softmax"])
     def test_float32_params_and_input_stay_float32(self, head):
         cfg = mv.UNetConfig(depth=2, base_channels=2, input_size=16, output_head=head)
