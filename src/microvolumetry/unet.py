@@ -156,10 +156,12 @@ def _double_conv(params: Params, stage: str, cache: dict | None, x: np.ndarray,
     """conv1 -> ReLU -> conv2 -> ReLU of one stage over x, or over `skip`
     joined before x; caches what backward needs.
 
-    The block owns its inputs: pass them as expressions the caller does not
-    keep, and without a cache they are freed once conv1 has read them, so
-    only the stage output outlives the call. ReLU runs in place on each
-    conv's fresh output.
+    Without a cache the block drops its own references to its inputs once
+    conv1 has read them. They are freed there only if the caller keeps no
+    other reference, which holds for the decoder stages alone: `forward`
+    passes their upsampled array and skip unbound, while an encoder or
+    bottleneck input stays bound in the caller's `x` until the call returns.
+    ReLU runs in place on each conv's fresh output.
     """
     if skip is not None:
         x = concat_channels(skip, x)

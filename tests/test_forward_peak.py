@@ -1,7 +1,9 @@
-"""tools/forward_peak.py names every traced call by its layer and restores unet's bindings."""
+"""tools/forward_peak.py names every traced call by its layer and restores the kernel bindings."""
 
 import importlib.util
 from pathlib import Path
+
+import numpy as np
 
 import microvolumetry as mv
 from microvolumetry import layers, unet
@@ -16,16 +18,21 @@ def load_tool():
     return tool
 
 
-def test_every_call_is_keyed_by_its_layer_and_bindings_are_restored(capsys):
+def test_every_call_is_keyed_by_its_layer_and_bindings_are_restored():
     tool = load_tool()
-    assert tool.main(["--depth", "2", "--base", "4", "--size", "32", "--top", "100"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "config: depth 2, base 4, 32x32, float32 weights 0.0 MiB"
-    assert lines[1].startswith("forward peak above the weights: ")
     cfg = mv.UNetConfig(depth=2, base_channels=4, input_size=32)
+    params = {name: (w.astype(np.float32), b.astype(np.float32))
+              for name, (w, b) in mv.build(cfg, 0).items()}
+    batch = np.random.default_rng(0).random((1, 1, 32, 32), dtype=np.float32)
+    kernels = ("conv2d_forward", "tconv2_forward", "maxpool2_forward")
+    originals = {name: getattr(layers, name) for name in kernels}
+    recorder = tool.PeakRecorder(params, cfg)
+    out = recorder.run(params, cfg, batch)
+    assert np.array_equal(out, mv.forward(params, cfg, batch, want_cache=False)[0])
     want = set(unet.param_shapes(cfg)) | {"enc0.pool", "enc1.pool"}
-    assert {line.split()[0] for line in lines[3:]} == want
-    assert len(lines[3:]) == len(want)
-    assert unet.conv2d_forward is layers.conv2d_forward
-    assert unet.tconv2_forward is layers.tconv2_forward
-    assert unet.maxpool2_forward is layers.maxpool2_forward
+    assert sorted(layer for layer, _, _ in recorder.calls) == sorted(want)
+    assert all(peak >= entry for _, entry, peak in recorder.calls)
+    for name, original in originals.items():
+        assert getattr(layers, name) is original
+        assert getattr(unet, name) is original
+        assert getattr(mv, name, original) is original

@@ -1,19 +1,20 @@
-"""Show where one float32 inference forward peaks in memory, layer by layer.
+"""Show where one paper-config float32 inference forward peaks in memory, layer by layer.
 
-Builds the network of a config (the paper's by default: depth 4, base 64,
-512x512), casts its weights to float32 as `predict` does, and runs one
-`forward(want_cache=False)` on a fixed phantom under `tracemalloc`. Every
-conv, tconv and pool call that `unet` makes is wrapped: it records the
-bytes live at entry and the peak reached inside the call. Run it as
+Builds the paper's network (depth 4, base 64, 512x512), casts its weights to
+float32 as `predict` does, and runs one `forward(want_cache=False)` on a fixed
+phantom under `tracemalloc`. Every conv, tconv and pool call is wrapped: it
+records the bytes live at entry and the peak reached inside the call. Run it as
 
-    PYTHONPATH=src python tools/forward_peak.py [--depth D --base B --size S] [--top N]
+    PYTHONPATH=src python tools/forward_peak.py [--top N]
 
 and run it with another commit's `src` on PYTHONPATH to compare. Tracing
 starts after the weights and the input exist, so every figure is the
-forward's own working set, on top of the weights. A conv or tconv is named
-by its weight array's data pointer and shape, as perfbench keys them; a
-pool by the size of its input. The "between calls" figure is the highest
-peak reached outside every wrapped call, such as a skip concatenation.
+forward's own working set, on top of the weights. Calls are named by
+perfbench's `LayerMap` (a conv or tconv by its weight array, a pool by the
+size of its input) and wrapped with perfbench's `patch_bindings`, so the
+names are the ones `perfbench/run.py --trace 1` reports. The "between calls"
+figure is the highest peak reached outside every wrapped call, such as a
+skip concatenation.
 """
 
 from __future__ import annotations
@@ -25,18 +26,21 @@ from pathlib import Path
 
 import numpy as np
 
-import microvolumetry as mv
-from microvolumetry import unet
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import microvolumetry as mv  # noqa: E402
+from microvolumetry import layers, unet  # noqa: E402
+from tracing import LayerMap, Patches, patch_bindings  # noqa: E402
 
 MIB = 2**20
 
 
 class PeakRecorder:
-    """Wraps unet's kernel bindings and records (layer, entry bytes, peak bytes) per call."""
+    """Wraps the forward kernels and records (layer, entry bytes, peak bytes) per call."""
 
     def __init__(self, params, config):
-        self.by_weight = {(w.ctypes.data, w.shape): name for name, (w, _) in params.items()}
-        self.pool_by_size = {config.input_size >> i: f"enc{i}.pool" for i in range(config.depth)}
+        self.layers = LayerMap()
+        self.layers.refresh(params, config, unet.param_shapes)
         self.calls: list[tuple[str, int, int]] = []
         self.between = 0
 
@@ -48,25 +52,22 @@ class PeakRecorder:
             try:
                 return fn(*args)
             finally:
-                self.calls.append((layer_of(args), entry, tracemalloc.get_traced_memory()[1]))
+                self.calls.append((layer_of(args) or "?", entry, tracemalloc.get_traced_memory()[1]))
                 tracemalloc.reset_peak()
         return wrapper
 
-    def _weight_layer(self, args) -> str:
-        return self.by_weight.get((args[1].ctypes.data, args[1].shape), "?")
+    def _weight_layer(self, args) -> str | None:
+        return self.layers.layer_of(args[1])
 
-    def _pool_layer(self, args) -> str:
-        return self.pool_by_size.get(args[0].shape[-1], "?")
+    def _pool_layer(self, args) -> str | None:
+        return self.layers.pool_by_size.get(args[0].shape[-1])
 
     def run(self, params, config, batch) -> np.ndarray:
-        kernels = {
-            "conv2d_forward": self._weight_layer,
-            "tconv2_forward": self._weight_layer,
-            "maxpool2_forward": self._pool_layer,
-        }
-        originals = {name: getattr(unet, name) for name in kernels}
-        for name, layer_of in kernels.items():
-            setattr(unet, name, self._wrap(originals[name], layer_of))
+        patches = Patches()
+        for fn, layer_of in ((layers.conv2d_forward, self._weight_layer),
+                             (layers.tconv2_forward, self._weight_layer),
+                             (layers.maxpool2_forward, self._pool_layer)):
+            patch_bindings(patches, fn, self._wrap(fn, layer_of))
         tracemalloc.start()
         try:
             out, _ = unet.forward(params, config, batch, want_cache=False)
@@ -74,19 +75,15 @@ class PeakRecorder:
             return out
         finally:
             tracemalloc.stop()
-            for name, fn in originals.items():
-                setattr(unet, name, fn)
+            patches.restore()
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--depth", type=int, default=4)
-    ap.add_argument("--base", type=int, default=64)
-    ap.add_argument("--size", type=int, default=512)
     ap.add_argument("--top", type=int, default=10, help="how many calls to list, highest peak first")
     args = ap.parse_args(argv)
 
-    config = mv.UNetConfig(depth=args.depth, base_channels=args.base, input_size=args.size)
+    config = mv.UNetConfig()
     params = {name: (w.astype(np.float32), b.astype(np.float32))
               for name, (w, b) in mv.build(config, 0).items()}
     image, _ = mv.generate_phantom(mv.PhantomSpec(size=config.input_size, seed=9))
