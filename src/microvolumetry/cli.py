@@ -15,14 +15,12 @@ import numpy as np
 
 from . import __version__
 from .data import (
-    MAXVAL,
     PhantomSpec,
+    _read_image,
     _write_atomic,
-    image_to_tensor,
     load_manifest,
     make_dataset,
     read_mask,
-    read_pgm,
     write_pgm,
 )
 from .errors import (
@@ -102,14 +100,7 @@ def cmd_predict(args) -> int:
         raise ValidationError(f"--out {out_dir} holds input files that the masks would overwrite")
     out_dir.mkdir(parents=True, exist_ok=True)
     for path in images:
-        image = read_pgm(path, maxval=MAXVAL)
-        want = (net_cfg.input_size, net_cfg.input_size)
-        if image.shape != want:
-            raise DataMismatchError(
-                f"{path}: image is {image.shape[0]}x{image.shape[1]}, "
-                f"checkpoint wants {want[0]}x{want[1]}"
-            )
-        x = image_to_tensor(image).astype(np.float32)
+        x = _read_image(path, net_cfg.input_size).astype(np.float32)
         scores, _ = forward(params, net_cfg, x, want_cache=False)
         write_pgm(argmax_channel(scores)[0], out_dir / path.name)
     print(f"wrote {len(images)} masks to {out_dir}")

@@ -287,6 +287,8 @@ def make_dataset(out_dir, count: int, template: PhantomSpec, seed: int = 0) -> l
     """
     if count < 1:
         raise ValidationError(f"count must be >= 1, got {count}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     out_dir = Path(out_dir)
     os.makedirs(out_dir / "images", exist_ok=True)
     os.makedirs(out_dir / "masks", exist_ok=True)
@@ -333,3 +335,13 @@ def image_to_tensor(image: np.ndarray) -> np.ndarray:
     if image.ndim != 2:
         raise ValidationError(f"image must be 2-d, got shape {image.shape}")
     return image.astype(np.float64)[None, None, :, :] / MAXVAL
+
+
+def _read_image(path, size: int) -> np.ndarray:
+    """A 16-bit PGM scan as a (1, 1, size, size) tensor; another size is a DataMismatchError."""
+    image = read_pgm(path, maxval=MAXVAL)
+    if image.shape != (size, size):
+        raise DataMismatchError(
+            f"{path}: image is {image.shape[0]}x{image.shape[1]}, the network takes {size}x{size}"
+        )
+    return image_to_tensor(image)

@@ -73,8 +73,8 @@ class LayerGrad(NamedTuple):
     """Gradients of one layer; each entry matches the shape it differentiates."""
 
     d_input: np.ndarray
-    d_weights: np.ndarray | None = None
-    d_bias: np.ndarray | None = None
+    d_weights: np.ndarray
+    d_bias: np.ndarray
 
 
 def _check_conv_args(x, weights, bias, spec: ConvSpec) -> Shape4:

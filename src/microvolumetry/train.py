@@ -15,14 +15,12 @@ from pathlib import Path
 import numpy as np
 
 from .data import (
-    MAXVAL,
     DatasetSplit,
+    _read_image,
     _write_atomic,
     encode_one_hot,
-    image_to_tensor,
     load_manifest,
     read_mask,
-    read_pgm,
     split_dataset,
 )
 from .errors import DataMismatchError, DivergenceError, ValidationError
@@ -57,6 +55,8 @@ class RunConfig(UNetConfig):
             raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if not self.dataset:
             raise ValidationError("config must set 'dataset'")
         for name in ("lr", "epsilon"):
@@ -79,13 +79,6 @@ def _coerce(key: str, raw: str):
     kind = type(_DEFAULTS[key])
     if kind is str:
         return raw
-    if kind is bool:
-        low = raw.lower()
-        if low in ("true", "yes", "1"):
-            return True
-        if low in ("false", "no", "0"):
-            return False
-        raise ValidationError(f"config key '{key}' wants a boolean, got {raw!r}")
     try:
         return kind(raw)
     except ValueError:
@@ -136,16 +129,11 @@ def _load_items(pairs, input_size: int):
     """Read every (image, mask) pair into memory, checking sizes up front."""
     items = []
     for img_path, mask_path in pairs:
-        image = read_pgm(img_path, maxval=MAXVAL)
+        image = _read_image(img_path, input_size)[0, 0]
         mask = read_mask(mask_path)
-        if image.shape != (input_size, input_size):
-            raise DataMismatchError(
-                f"{img_path}: image is {image.shape[0]}x{image.shape[1]}, "
-                f"config wants {input_size}x{input_size}"
-            )
         if mask.shape != image.shape:
             raise DataMismatchError(f"{mask_path}: mask shape {mask.shape} != image {image.shape}")
-        items.append((image_to_tensor(image)[0, 0], mask))
+        items.append((image, mask))
     return items
 
 

@@ -14,10 +14,10 @@ mirror that structure. The training cache holds {stage: (input, conv1, conv2
 activation)} and the head output "out"; backward reads each pool, tconv and
 head input from the conv2 activation of the stage that produced it.
 
-Each decoder stage owns its input: `forward` passes the upsampled array and
-the skip it joins without keeping either, so without a cache the stage
-frees them once conv1 has read them. ReLU runs in place on each conv's
-fresh output; the cached activations are the same post-ReLU arrays.
+`forward` joins each decoder skip with the upsampled array and passes the
+join to the stage without binding any of the three, so without a cache the
+stage frees the join once conv1 has read it. ReLU runs in place on each
+conv's fresh output; the cached activations are the same post-ReLU arrays.
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ class UNetConfig:
     base_channels: int = 64
     output_head: str = "sigmoid"
     input_size: int = 512
-    use_skips: bool = True
 
     def __post_init__(self):
         if self.depth < 1 or self.base_channels < 1:
@@ -102,9 +101,8 @@ def param_shapes(config: UNetConfig) -> dict[str, tuple[str, tuple[int, ...]]]:
     for i in reversed(range(config.depth)):
         cin = bott if i == config.depth - 1 else _enc_channels(config, i + 1)
         cout = _enc_channels(config, i)
-        joined = 2 * cout if config.use_skips else cout
         shapes[f"dec{i}.tconv"] = ("tconv", (cin, cout, 2, 2))
-        shapes[f"dec{i}.conv1"] = ("conv", (cout, joined, 3, 3))
+        shapes[f"dec{i}.conv1"] = ("conv", (cout, 2 * cout, 3, 3))  # skip + upsampled
         shapes[f"dec{i}.conv2"] = ("conv", (cout, cout, 3, 3))
     shapes["head"] = ("conv", (NUM_CLASSES, config.base_channels, 1, 1))
     return shapes
@@ -151,21 +149,16 @@ def _spec(w: np.ndarray) -> ConvSpec:
     return ConvSpec(w.shape[1], w.shape[0], kernel=w.shape[2])
 
 
-def _double_conv(params: Params, stage: str, cache: dict | None, x: np.ndarray,
-                 skip: np.ndarray | None = None) -> np.ndarray:
-    """conv1 -> ReLU -> conv2 -> ReLU of one stage over x, or over `skip`
-    joined before x; caches what backward needs.
+def _double_conv(params: Params, stage: str, cache: dict | None, x: np.ndarray) -> np.ndarray:
+    """conv1 -> ReLU -> conv2 -> ReLU of one stage over x; caches what backward needs.
 
-    Without a cache the block drops its own references to its inputs once
-    conv1 has read them. They are freed there only if the caller keeps no
-    other reference, which holds for the decoder stages alone: `forward`
-    passes their upsampled array and skip unbound, while an encoder or
-    bottleneck input stays bound in the caller's `x` until the call returns.
-    ReLU runs in place on each conv's fresh output.
+    Without a cache the block drops its own reference to x once conv1 has
+    read it. x is freed there only if the caller keeps no other reference,
+    which holds for the decoder stages alone: `forward` passes their joined
+    skip and upsampled array unbound, while an encoder or bottleneck input
+    stays bound in the caller's `x` until the call returns. ReLU runs in
+    place on each conv's fresh output.
     """
-    if skip is not None:
-        x = concat_channels(skip, x)
-        del skip
     w1, b1 = params[f"{stage}.conv1"]
     w2, b2 = params[f"{stage}.conv2"]
     a1 = conv2d_forward(x, w1, b1, _spec(w1))
@@ -214,18 +207,17 @@ def forward(
     skips: list[np.ndarray] = []
     for i in range(config.depth):
         x = _double_conv(params, f"enc{i}", cache, x)
-        if config.use_skips:
-            skips.append(x)
+        skips.append(x)
         x = maxpool2_forward(x)
 
     x = _double_conv(params, "bottleneck", cache, x)
 
     for i in reversed(range(config.depth)):
         wt, bt = params[f"dec{i}.tconv"]
-        # Neither the upsampled array nor the skip is bound here, so the stage
-        # frees both, and their join, once its conv1 has read them.
-        x = _double_conv(params, f"dec{i}", cache, tconv2_forward(x, wt, bt),
-                         skips.pop() if config.use_skips else None)
+        # The skip, the upsampled array and their join are not bound here, so
+        # the stage frees the join once its conv1 has read it.
+        x = _double_conv(params, f"dec{i}", cache,
+                         concat_channels(skips.pop(), tconv2_forward(x, wt, bt)))
 
     wh, bh = params["head"]
     pre = conv2d_forward(x, wh, bh, _spec(wh))
@@ -251,11 +243,11 @@ def backward(params: Params, config: UNetConfig, cache: dict, d_scores: np.ndarr
     grads["head"] = (g.d_weights, g.d_bias)
     d = g.d_input
 
-    pending_skip: dict[int, np.ndarray] = {}
+    d_skips: list[np.ndarray] = []
     for i in range(config.depth):  # reverse of the forward decoder order
         d = _double_conv_backward(params, f"dec{i}", cache, d, grads)
-        if config.use_skips:
-            pending_skip[i], d = split_channels(d, _enc_channels(config, i))
+        d_skip, d = split_channels(d, _enc_channels(config, i))
+        d_skips.append(d_skip)
         wt, _ = params[f"dec{i}.tconv"]
         below = f"dec{i + 1}" if i + 1 < config.depth else "bottleneck"
         gt = tconv2_backward(cache[below][2], wt, d)
@@ -265,9 +257,7 @@ def backward(params: Params, config: UNetConfig, cache: dict, d_scores: np.ndarr
     d = _double_conv_backward(params, "bottleneck", cache, d, grads)
 
     for i in reversed(range(config.depth)):
-        d = maxpool2_backward(cache[f"enc{i}"][2], d)
-        if config.use_skips:
-            d = d + pending_skip.pop(i)
+        d = maxpool2_backward(cache[f"enc{i}"][2], d) + d_skips.pop()
         d = _double_conv_backward(params, f"enc{i}", cache, d, grads)
 
     return {name: grads[name] for name in params}
@@ -278,9 +268,9 @@ def _header_parts(config: UNetConfig) -> list[tuple[str, bytes]]:
 
     The only statement of the layout. Integers are little-endian u32; the config
     block is depth, base channels, input channels (always 1), classes (always
-    NUM_CLASSES), input size and use_skips. The output head is one enum byte, and
-    the table lists `<name>.w` then `<name>.b` for each layer in `param_shapes`
-    order, as length-prefixed UTF-8 name and shape.
+    NUM_CLASSES), input size and skips (always 1). The output head is one enum
+    byte, and the table lists `<name>.w` then `<name>.b` for each layer in
+    `param_shapes` order, as length-prefixed UTF-8 name and shape.
     """
     entries: list[tuple[str, tuple[int, ...]]] = []
     for name, (kind, wshape) in param_shapes(config).items():
@@ -289,7 +279,7 @@ def _header_parts(config: UNetConfig) -> list[tuple[str, bytes]]:
         ("magic", CHECKPOINT_MAGIC),
         ("version", struct.pack("<I", CHECKPOINT_VERSION)),
         ("config block", struct.pack("<6I", config.depth, config.base_channels, 1, NUM_CLASSES,
-                                     config.input_size, int(config.use_skips))),
+                                     config.input_size, 1)),
         ("output head", struct.pack("<B", OUTPUT_HEADS.index(config.output_head))),
         ("entry count", struct.pack("<I", len(entries))),
     ]
@@ -323,14 +313,14 @@ def load_checkpoint(path) -> tuple[Params, UNetConfig]:
         if len(prefix) < _PREFIX.size:
             raise CheckpointError(f"truncated checkpoint at byte {len(prefix)}, inside the "
                                   f"{_PREFIX.size}-byte fixed header")
-        _, version, depth, base, _, _, input_size, use_skips, head_b = _PREFIX.unpack(prefix)
+        _, version, depth, base, _, _, input_size, _, head_b = _PREFIX.unpack(prefix)
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version}")
         if head_b >= len(OUTPUT_HEADS):
             raise CheckpointError(f"unknown output-head byte {head_b}")
         try:
             config = UNetConfig(depth=depth, base_channels=base, output_head=OUTPUT_HEADS[head_b],
-                                input_size=input_size, use_skips=bool(use_skips))
+                                input_size=input_size)
         except ValidationError as exc:
             raise CheckpointError(f"invalid config block: {exc}") from exc
 

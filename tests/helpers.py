@@ -73,16 +73,14 @@ def hazard_margins(params: dict, cfg: mv.UNetConfig, xb: np.ndarray) -> tuple[fl
     x = conv_relu(conv_relu(x, "bottleneck.conv1"), "bottleneck.conv2")
     for i in reversed(range(cfg.depth)):
         wt, bt = params[f"dec{i}.tconv"]
-        up = L.tconv2_forward(x, wt, bt)
-        joined = L.concat_channels(skips[i], up) if cfg.use_skips else up
+        joined = L.concat_channels(skips[i], L.tconv2_forward(x, wt, bt))
         x = conv_relu(conv_relu(joined, f"dec{i}.conv1"), f"dec{i}.conv2")
     return relu_m, pool_m
 
 
-def e2e_case(head: str, seed: int, depth: int = 1, use_skips: bool = True):
+def e2e_case(head: str, seed: int, depth: int = 1):
     """Deterministic end-to-end check instance with verified kink margins."""
-    cfg = mv.UNetConfig(depth=depth, base_channels=2, input_size=8, output_head=head,
-                        use_skips=use_skips)
+    cfg = mv.UNetConfig(depth=depth, base_channels=2, input_size=8, output_head=head)
     params = perturbed_params(cfg, seed)
     for attempt in range(8):
         rng = np.random.default_rng(seed + 500 + 10000 * attempt)
@@ -95,9 +93,9 @@ def e2e_case(head: str, seed: int, depth: int = 1, use_skips: bool = True):
     raise AssertionError(f"no kink-safe input found for head={head} seed={seed}")
 
 
-def e2e_loss(head: str, seed: int, depth: int = 1, use_skips: bool = True):
+def e2e_loss(head: str, seed: int, depth: int = 1):
     """(fn, arrays) for `gradient_check` over every parameter of an e2e_case network."""
-    cfg, params, xb, tb = e2e_case(head, seed, depth, use_skips)
+    cfg, params, xb, tb = e2e_case(head, seed, depth)
     names = list(params)
 
     def fn(arrs):
@@ -110,8 +108,8 @@ def e2e_loss(head: str, seed: int, depth: int = 1, use_skips: bool = True):
     return fn, [a for n in names for a in params[n]]
 
 
-def e2e_gradient_error(head: str, seed: int, depth: int = 1, use_skips: bool = True) -> float:
-    return gradient_check(*e2e_loss(head, seed, depth, use_skips), step=FD_STEP)
+def e2e_gradient_error(head: str, seed: int, depth: int = 1) -> float:
+    return gradient_check(*e2e_loss(head, seed, depth), step=FD_STEP)
 
 
 def _safe_draw(rng, shape, min_abs=KINK_MARGIN):

@@ -85,6 +85,11 @@ class TestGen:
         assert "noise_sigma" in capsys.readouterr().err
         assert not (tmp_path / "d" / "manifest.txt").exists()
 
+    def test_negative_seed_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        assert main(gen_args(tmp_path / "d", seed=-1)) == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not (tmp_path / "d").exists()
+
 
 class TestTrain:
     def test_prints_progress_and_summary(self, trained, capsys):
@@ -102,7 +107,9 @@ class TestTrain:
         assert main(["train", "--config", str(cfg)]) == 2
         assert "momentum" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key, value", [("num_classes", 3), ("in_channels", 1)])
+    @pytest.mark.parametrize(
+        "key, value", [("num_classes", 3), ("in_channels", 1), ("use_skips", "true")]
+    )
     def test_fixed_network_count_key_exits_2_naming_the_line(self, tmp_path, capsys, key, value):
         cfg = write_config(tmp_path / "run.cfg", dataset="d", depth=1, **{key: value})
         assert main(["train", "--config", str(cfg)]) == 2
@@ -113,6 +120,16 @@ class TestTrain:
         cfg.write_bytes(NON_UTF8_CONFIG)
         assert main(["train", "--config", str(cfg)]) == 2
         assert "not UTF-8" in capsys.readouterr().err
+
+    def test_negative_seed_exits_2_and_writes_nothing(self, trained, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "run.cfg", dataset=str(trained / "data"),
+            checkpoint=str(tmp_path / "model.ckpt"), metrics=str(tmp_path / "metrics.csv"),
+            depth=1, base_channels=2, input_size=16, epochs=1, seed=-1,
+        )
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
     def test_zero_epochs_exits_2(self, tmp_path):
         cfg = write_config(tmp_path / "run.cfg", dataset="d", epochs=0)

@@ -39,7 +39,7 @@ VALID_PGM = b"P5\n3 2\n65535\n" + bytes(range(12))
 VALID_CHECKPOINT = checkpoint_bytes()
 VALID_CONFIG = (
     b"dataset = data\ndepth = 2\nbase_channels = 4\ninput_size = 16\n"
-    b"epochs = 3 # short\nlr = 0.001\nuse_skips = yes\nsplit = 0.2\n"
+    b"epochs = 3 # short\nlr = 0.001\nseed = 7\nsplit = 0.2\n"
 )
 U32_EDGES = [0, 1, 2, 3, 31, 32, 33, 2**16, 2**31 - 1, 2**31, 2**32 - 1, 0xF998E147]
 

@@ -40,11 +40,6 @@ class TestParseConfig:
         cfg = mv.parse_config(path)
         assert cfg.epochs == 3
 
-    def test_bool_spellings(self, tmp_path):
-        for text, expect in [("yes", True), ("1", True), ("false", False), ("no", False)]:
-            path = write_config(tmp_path / f"{text}.cfg", dataset="d", use_skips=text)
-            assert mv.parse_config(path).use_skips is expect
-
     def test_unknown_key_names_the_line(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("dataset = d\nlearning_rate = 0.1\n")

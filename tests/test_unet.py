@@ -12,7 +12,7 @@ from microvolumetry.unet import CHECKPOINT_MAGIC, param_shapes
 from helpers import HUGE_DEPTH_CHECKPOINT, NON_UTF8_NAME_CHECKPOINT
 
 
-def independent_parameter_count(depth, base, in_channels=1, classes=3, use_skips=True):
+def independent_parameter_count(depth, base, in_channels=1, classes=3):
     """Architecture bookkeeping done the long way, as a second opinion."""
     total = 0
 
@@ -27,8 +27,7 @@ def independent_parameter_count(depth, base, in_channels=1, classes=3, use_skips
     total += conv(widths[depth], prev) + conv(widths[depth], widths[depth])
     for i in reversed(range(depth)):
         total += widths[i + 1] * widths[i] * 4 + widths[i]  # 2x2 transposed conv
-        joined = 2 * widths[i] if use_skips else widths[i]
-        total += conv(widths[i], joined) + conv(widths[i], widths[i])
+        total += conv(widths[i], 2 * widths[i]) + conv(widths[i], widths[i])
     total += classes * base * 1 + classes  # 1x1 head
     return total
 
@@ -57,9 +56,9 @@ class TestConfig:
             mv.UNetConfig(output_head="tanh", input_size=64)
 
     def test_fields_are_the_settings_that_can_vary(self):
-        # one grayscale input channel and three classes are fixed, not fields
+        # one grayscale input channel, three classes and the skips are fixed, not fields
         names = [f.name for f in dataclasses.fields(mv.UNetConfig)]
-        assert names == ["depth", "base_channels", "output_head", "input_size", "use_skips"]
+        assert names == ["depth", "base_channels", "output_head", "input_size"]
 
 
 class TestArchitecture:
@@ -86,10 +85,6 @@ class TestArchitecture:
         assert shapes["dec1.conv1"][1] == (16, 32, 3, 3)  # skip doubles the input
         assert shapes["dec0.conv1"][1] == (8, 16, 3, 3)
         assert shapes["head"][1] == (3, 8, 1, 1)
-
-    def test_skipless_decoder_is_narrower(self):
-        shapes = param_shapes(mv.UNetConfig(depth=2, base_channels=8, input_size=16, use_skips=False))
-        assert shapes["dec1.conv1"][1] == (16, 16, 3, 3)
 
     @pytest.mark.parametrize(
         "depth,base", [(1, 2), (2, 8), (3, 4), (4, 16), (4, 64)]
@@ -224,7 +219,7 @@ class TestForwardBackward:
             mv.backward(params, cfg, cache, np.zeros((1, 3, 8, 8)))
 
     def test_gradients_mirror_parameters(self):
-        cfg = mv.UNetConfig(depth=2, base_channels=2, input_size=16, use_skips=False)
+        cfg = mv.UNetConfig(depth=2, base_channels=2, input_size=16)
         params = mv.build(cfg, seed=4)
         x = np.random.default_rng(3).random((1, 1, 16, 16))
         out, cache = mv.forward(params, cfg, x)
@@ -321,13 +316,6 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="entry 0 name at byte 45"):
             mv.load_checkpoint(path)
 
-    def test_skipless_config_round_trips(self, tmp_path):
-        cfg, params = self._small(use_skips=False)
-        path = tmp_path / "m.ckpt"
-        mv.save_checkpoint(params, cfg, path)
-        _, cfg2 = mv.load_checkpoint(path)
-        assert cfg2.use_skips is False
-
 
 class TestCheckpointCodec:
     """The header must be exactly what save_checkpoint writes for the config
@@ -357,13 +345,8 @@ class TestCheckpointCodec:
         with pytest.raises(CheckpointError, match="payload"):
             mv.load_checkpoint(path)
 
-    def test_use_skips_other_than_zero_or_one_is_rejected(self, tmp_path):
-        path = self._saved(tmp_path)
-        self._patched(path, 12 + 5 * 4, struct.pack("<I", 2))  # sixth u32 of the config block
-        with pytest.raises(CheckpointError, match="config block at byte 12"):
-            mv.load_checkpoint(path)
-
-    @pytest.mark.parametrize("slot, value", [(2, 3), (3, 2)])  # input channels, classes
+    # input channels, classes, skips: the config block's u32s that are always 1, 3, 1
+    @pytest.mark.parametrize("slot, value", [(2, 3), (3, 2), (5, 0), (5, 2)])
     def test_other_fixed_counts_are_rejected(self, tmp_path, slot, value):
         path = self._saved(tmp_path)
         self._patched(path, 12 + 4 * slot, struct.pack("<I", value))
