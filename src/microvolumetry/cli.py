@@ -88,12 +88,13 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     """Segment every image with the checkpoint's network, run in float32.
 
-    The weights are cast once, here rather than inside `forward`, so every
-    call receives the same arrays (perfbench keys its layer spans by them);
-    the float64 copies are dropped. Each image tensor is cast the same way.
+    The checkpoint is loaded straight into float32, so the float64 network is
+    never held, and every call receives the same weight arrays (perfbench keys
+    its layer spans by them). Each image tensor is cast as it is read. Scores
+    that are not finite, from weights whose activations overflow float32, are
+    refused before that image's mask is written.
     """
-    params, net_cfg = load_checkpoint(args.checkpoint)
-    params = {name: (w.astype(np.float32), b.astype(np.float32)) for name, (w, b) in params.items()}
+    params, net_cfg = load_checkpoint(args.checkpoint, np.float32)
     out_dir = Path(args.out)
     images, inputs = _input_images(Path(args.images))
     if out_dir.resolve() in {path.resolve().parent for path in inputs}:
@@ -101,7 +102,11 @@ def cmd_predict(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     for path in images:
         x = _read_image(path, net_cfg.input_size).astype(np.float32)
-        scores, _ = forward(params, net_cfg, x, want_cache=False)
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite scores are refused below
+            scores, _ = forward(params, net_cfg, x, want_cache=False)
+        if not np.isfinite(scores).all():
+            raise CheckpointError(f"{path.name}: scores are not finite; the checkpoint's "
+                                  f"weights overflow float32 in the forward")
         write_pgm(argmax_channel(scores)[0], out_dir / path.name)
     print(f"wrote {len(images)} masks to {out_dir}")
     return 0

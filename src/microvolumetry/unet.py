@@ -14,9 +14,10 @@ mirror that structure. The training cache holds {stage: (input, conv1, conv2
 activation)} and the head output "out"; backward reads each pool, tconv and
 head input from the conv2 activation of the stage that produced it.
 
-`forward` joins each decoder skip with the upsampled array and passes the
-join to the stage without binding any of the three, so without a cache the
-stage frees the join once conv1 has read it. ReLU runs in place on each
+Without a cache, each decoder stage holds an array only until the next step
+has read it: `forward` drops the stage below's output once the tconv has
+upsampled it, the upsampled array and the skip once they are joined, and the
+stage drops the join once conv1 has read it. ReLU runs in place on each
 conv's fresh output; the cached activations are the same post-ReLU arrays.
 """
 
@@ -55,6 +56,8 @@ CHECKPOINT_MAGIC = b"UNETCKPT"
 CHECKPOINT_VERSION = 1
 # The fixed header prefix: magic, version, six-u32 config block, output-head byte.
 _PREFIX = struct.Struct("<8sI6IB")
+# float64 elements per read when loading into float32 (4 MiB of scratch)
+_LOAD_BLOCK = 2**19
 
 Params = dict[str, tuple[np.ndarray, np.ndarray]]
 
@@ -214,10 +217,12 @@ def forward(
 
     for i in reversed(range(config.depth)):
         wt, bt = params[f"dec{i}.tconv"]
-        # The skip, the upsampled array and their join are not bound here, so
-        # the stage frees the join once its conv1 has read it.
-        x = _double_conv(params, f"dec{i}", cache,
-                         concat_channels(skips.pop(), tconv2_forward(x, wt, bt)))
+        # The stage below's output goes before the join exists. The skip and the
+        # upsampled array (held only by the one-slot list) go when the join is
+        # built, and the stage frees the unbound join once its conv1 has read it.
+        up = [tconv2_forward(x, wt, bt)]
+        del x
+        x = _double_conv(params, f"dec{i}", cache, concat_channels(skips.pop(), up.pop()))
 
     wh, bh = params["head"]
     pre = conv2d_forward(x, wh, bh, _spec(wh))
@@ -302,9 +307,39 @@ def save_checkpoint(params: Params, config: UNetConfig, path) -> None:
     _write_atomic(path, itertools.chain(header, payload))
 
 
-def load_checkpoint(path) -> tuple[Params, UNetConfig]:
-    """Read a checkpoint. The fixed prefix decides the network; every header byte
-    must then equal what `save_checkpoint` writes for it before any tensor is read."""
+def _read_tensor(fh, arr: np.ndarray, scratch: np.ndarray | None, name: str) -> None:
+    """Fill `arr` from the payload at the file position and refuse any value that is
+    not finite in arr's dtype. Without `scratch` the bytes are read straight into
+    arr; otherwise they pass through the float64 `scratch` one block at a time, and
+    the slice assignment rounds exactly as `astype` does."""
+    flat = arr.reshape(-1)
+    step = flat.size if scratch is None else scratch.size
+    for start in range(0, flat.size, step):
+        part = flat[start : start + step]
+        src = part if scratch is None else scratch[: part.size]
+        if fh.readinto(src) != src.nbytes:
+            raise CheckpointError(f"payload truncated in {name}")
+        if scratch is not None:
+            with np.errstate(over="ignore"):  # an overflow to inf is refused just below
+                part[...] = src
+        if not np.isfinite(part).all():
+            raise CheckpointError(f"{name} holds a value that is not finite in {arr.dtype.name}")
+
+
+def load_checkpoint(path, dtype=np.float64) -> tuple[Params, UNetConfig]:
+    """Read a checkpoint into arrays of `dtype`, float64 or float32. The fixed prefix
+    decides the network; every header byte must then equal what `save_checkpoint`
+    writes for it before any tensor is read.
+
+    Each tensor is allocated in `dtype` and filled as the payload streams in, so a
+    float32 load never holds the float64 network, only one `_LOAD_BLOCK` scratch. A
+    tensor holding NaN or inf, or a value that overflows float32, is refused with a
+    `CheckpointError` that names it.
+    """
+    dtype = np.dtype(dtype)
+    if dtype not in (np.float64, np.float32):
+        raise ValidationError(f"checkpoints load as float64 or float32, not {dtype}")
+    dtype = dtype.newbyteorder("<")
     with open(path, "rb") as fh:
         prefix = fh.read(_PREFIX.size)
         magic = prefix[: len(CHECKPOINT_MAGIC)]
@@ -336,10 +371,11 @@ def load_checkpoint(path) -> tuple[Params, UNetConfig]:
         size, want = os.fstat(fh.fileno()).st_size - off, parameter_count(config) * 8
         if size != want:
             raise CheckpointError(f"payload at byte {off} is {size} bytes, the header declares {want}")
+        scratch = None if dtype.itemsize == 8 else np.empty(_LOAD_BLOCK, "<f8")
         params: Params = {}
         for name, (kind, wshape) in param_shapes(config).items():
-            w, b = np.empty(wshape, "<f8"), np.empty(_bias_size(kind, wshape), "<f8")
-            if fh.readinto(w) != w.nbytes or fh.readinto(b) != b.nbytes:
-                raise CheckpointError(f"payload truncated in {name}")
+            w, b = np.empty(wshape, dtype), np.empty(_bias_size(kind, wshape), dtype)
+            _read_tensor(fh, w, scratch, f"{name}.w")
+            _read_tensor(fh, b, scratch, f"{name}.b")
             params[name] = (w, b)
     return params, config

@@ -291,5 +291,7 @@ HUGE_DEPTH_CHECKPOINT = overwrite(checkpoint_bytes(), CKPT_DEPTH_AT, struct.pack
 NON_UTF8_NAME_CHECKPOINT = overwrite(checkpoint_bytes(), CKPT_FIRST_NAME_AT, b"\xff")
 # Latin-1 e-acute in a comment: raised UnicodeDecodeError
 NON_UTF8_CONFIG = b"dataset = d\n# caf\xe9\nepochs = 1\n"
+# NaN as the payload's last float64 (in head.b): loaded, and predict wrote an all-background mask
+NAN_PAYLOAD_CHECKPOINT = checkpoint_bytes()[:-8] + struct.pack("<d", float("nan"))
 # a valid 8-bit image, which reads as near-black if scaled as 16-bit
 EIGHT_BIT_IMAGE = b"P5\n2 2\n255\n\xff\x00\x80\x07"

@@ -254,6 +254,28 @@ class TestPredict:
         assert code == 4
         assert "depth" in capsys.readouterr().err
 
+    # Each of these predicted all-background masks and exited 0: a NaN weight; a
+    # weight finite in float64 that the float32 load rounds to inf; and weights
+    # finite in float32 whose float32 forward overflows to NaN scores.
+    @pytest.mark.parametrize("layer, index, value, named", [
+        ("head", (0, 1, 0, 0), np.nan, "head.w"),
+        ("head", (2, 0, 0, 0), 1e39, "head.w"),
+        ("enc0.conv1", ..., 1e37, "phantom_00000.pgm: scores are not finite"),
+    ], ids=["nan", "overflows-the-load", "overflows-the-forward"])
+    def test_weights_not_finite_in_float32_exit_4_and_write_no_mask(
+            self, trained, tmp_path, capsys, layer, index, value, named):
+        cfg = mv.UNetConfig(depth=1, base_channels=2, input_size=16)
+        params = mv.build(cfg, 0)
+        params[layer][0][index] = value
+        mv.save_checkpoint(params, cfg, tmp_path / "bad.ckpt")
+        out = tmp_path / "pred"
+        code = main(["predict", "--checkpoint", str(tmp_path / "bad.ckpt"),
+                     "--images", str(trained / "data"), "--out", str(out)])
+        assert code == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
+        assert not list(out.glob("*.pgm"))
+
 
 class TestEvaluate:
     def test_truth_vs_itself_is_perfect(self, trained, tmp_path, capsys):

@@ -36,3 +36,18 @@ def test_every_call_is_keyed_by_its_layer_and_bindings_are_restored():
         assert getattr(layers, name) is original
         assert getattr(unet, name) is original
         assert getattr(mv, name, original) is original
+
+
+def test_decoder_conv1_starts_with_only_its_join_live():
+    # The stage below's output (a quarter of the join's bytes here) must be
+    # gone before dec0.conv1 runs, and so must the skip and the upsampled array.
+    tool = load_tool()
+    cfg = mv.UNetConfig(depth=2, base_channels=8, input_size=64)
+    params = {name: (w.astype(np.float32), b.astype(np.float32))
+              for name, (w, b) in mv.build(cfg, 0).items()}
+    batch = np.random.default_rng(0).random((1, 1, 64, 64), dtype=np.float32)
+    recorder = tool.PeakRecorder(params, cfg)
+    recorder.run(params, cfg, batch)
+    join_bytes = 2 * cfg.base_channels * 64 * 64 * 4
+    [entry] = [entry for layer, entry, _ in recorder.calls if layer == "dec0.conv1"]
+    assert entry <= join_bytes + 8192, (entry, join_bytes)

@@ -11,6 +11,7 @@ the same inputs.
 import struct
 from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -22,6 +23,7 @@ from microvolumetry.errors import CheckpointError, PgmFormatError, ValidationErr
 from helpers import (
     EIGHT_BIT_IMAGE,
     HUGE_DEPTH_CHECKPOINT,
+    NAN_PAYLOAD_CHECKPOINT,
     NON_UTF8_CONFIG,
     NON_UTF8_NAME_CHECKPOINT,
     checkpoint_bytes,
@@ -119,14 +121,18 @@ def test_read_pgm_raises_only_pgm_format_error(scratch, blob):
                       u32_overwritten(VALID_CHECKPOINT, 200)))
 @example(blob=HUGE_DEPTH_CHECKPOINT)
 @example(blob=NON_UTF8_NAME_CHECKPOINT)
+@example(blob=NAN_PAYLOAD_CHECKPOINT)
 def test_load_checkpoint_raises_only_checkpoint_error(scratch, blob):
     path = scratch / "m.ckpt"
     path.write_bytes(blob)
-    try:
-        params, cfg = mv.load_checkpoint(path)
-    except CheckpointError:
-        return
-    assert list(params) == list(mv.unet.param_shapes(cfg))
+    for dtype in (np.float64, np.float32):
+        try:
+            params, cfg = mv.load_checkpoint(path, dtype)
+        except CheckpointError:
+            continue
+        assert list(params) == list(mv.unet.param_shapes(cfg))
+        arrays = [a for wb in params.values() for a in wb]
+        assert all(a.dtype == dtype and np.isfinite(a).all() for a in arrays)
 
 
 @FUZZ

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import microvolumetry as mv
+from microvolumetry import unet
 from microvolumetry.errors import CheckpointError, ConsistencyError, ShapeError, ValidationError
 from microvolumetry.unet import CHECKPOINT_MAGIC, param_shapes
 
@@ -371,3 +372,70 @@ class TestCheckpointCodec:
         assert all(np.array_equal(loaded[n][0], params[n][0]) for n in params)
         assert save_peak < 1.0 * payload, (save_peak, payload)
         assert load_peak < 1.5 * payload, (load_peak, payload)
+
+    def test_float32_load_peak_memory(self, tmp_path, monkeypatch):
+        cfg = mv.UNetConfig(depth=2, base_channels=32, input_size=16)
+        payload = mv.parameter_count(cfg) * 8
+        path = tmp_path / "m.ckpt"
+        mv.save_checkpoint(mv.build(cfg, seed=0), cfg, path)
+        monkeypatch.setattr(unet, "_LOAD_BLOCK", 4096)
+        load_peak, _ = self._traced_peak(lambda: mv.load_checkpoint(path, np.float32))
+        assert load_peak < 0.6 * payload, (load_peak, payload)
+
+
+class TestLoadDtype:
+    """load_checkpoint(path, np.float32) never holds the float64 network, and
+    either dtype refuses a tensor that is not finite in it."""
+
+    CFG = mv.UNetConfig(depth=2, base_channels=4, input_size=16)
+
+    def _saved(self, tmp_path, tensor=None, index=None, value=None):
+        """The network's checkpoint, with `value` written at `index` of `tensor` ("head.w")."""
+        params = mv.build(self.CFG, seed=3)
+        if tensor is not None:
+            layer, slot = tensor.rsplit(".", 1)
+            params[layer]["wb".index(slot)][index] = value
+        path = tmp_path / "m.ckpt"
+        mv.save_checkpoint(params, self.CFG, path)
+        return path
+
+    def test_float32_load_is_the_cast_of_the_float64_load(self, tmp_path, monkeypatch):
+        path = self._saved(tmp_path)
+        # 7 elements a block: every weight spans several blocks, most end in a partial one
+        monkeypatch.setattr(unet, "_LOAD_BLOCK", 7)
+        wide, _ = mv.load_checkpoint(path)
+        narrow, cfg = mv.load_checkpoint(path, np.float32)
+        assert cfg == self.CFG and list(narrow) == list(wide)
+        for name in wide:
+            for got, ref in zip(narrow[name], wide[name]):
+                assert got.dtype == np.float32 and got.shape == ref.shape
+                assert np.array_equal(got.view(np.uint32), ref.astype(np.float32).view(np.uint32))
+
+    def test_truncated_payload_is_the_same_error_in_float32(self, tmp_path):
+        path = self._saved(tmp_path)
+        path.write_bytes(path.read_bytes()[:-8])
+        messages = []
+        for dtype in (np.float64, np.float32):
+            with pytest.raises(CheckpointError, match="payload") as info:
+                mv.load_checkpoint(path, dtype)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_is_named(self, tmp_path, dtype, value):
+        path = self._saved(tmp_path, "head.w", (1, 2, 0, 0), value)
+        with pytest.raises(CheckpointError, match=r"head\.w .*not finite"):
+            mv.load_checkpoint(path, dtype)
+
+    def test_value_that_overflows_float32_is_refused_in_float32_only(self, tmp_path):
+        path = self._saved(tmp_path, "dec1.tconv.b", 0, 1e39)
+        params, _ = mv.load_checkpoint(path)
+        assert params["dec1.tconv"][1][0] == 1e39
+        with pytest.raises(CheckpointError, match=r"dec1\.tconv\.b .*not finite in float32"):
+            mv.load_checkpoint(path, np.float32)
+
+    def test_other_dtypes_are_rejected(self, tmp_path):
+        path = self._saved(tmp_path)
+        with pytest.raises(ValidationError, match="float16"):
+            mv.load_checkpoint(path, np.float16)

@@ -1,9 +1,12 @@
 """Show where one paper-config float32 inference forward peaks in memory, layer by layer.
 
-Builds the paper's network (depth 4, base 64, 512x512), casts its weights to
-float32 as `predict` does, and runs one `forward(want_cache=False)` on a fixed
-phantom under `tracemalloc`. Every conv, tconv and pool call is wrapped: it
-records the bytes live at entry and the peak reached inside the call. Run it as
+Builds the paper's network (depth 4, base 64, 512x512), saves it to a
+temporary checkpoint and loads that into float32 as `predict` does, with
+`load_checkpoint(path, np.float32)`. The load runs under `tracemalloc`, and
+its peak above the float32 weights it returns is printed on the `load` line.
+Then one `forward(want_cache=False)` runs on a fixed phantom under
+`tracemalloc`. Every conv, tconv and pool call is wrapped: it records the
+bytes live at entry and the peak reached inside the call. Run it as
 
     PYTHONPATH=src python tools/forward_peak.py [--top N]
 
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
@@ -78,14 +82,26 @@ class PeakRecorder:
             patches.restore()
 
 
+def load_traced(checkpoint: Path):
+    """`load_checkpoint(checkpoint, np.float32)`'s params, and its tracemalloc peak."""
+    tracemalloc.start()
+    try:
+        params, _ = unet.load_checkpoint(checkpoint, np.float32)
+        return params, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--top", type=int, default=10, help="how many calls to list, highest peak first")
     args = ap.parse_args(argv)
 
     config = mv.UNetConfig()
-    params = {name: (w.astype(np.float32), b.astype(np.float32))
-              for name, (w, b) in mv.build(config, 0).items()}
+    with tempfile.TemporaryDirectory() as tmp:
+        checkpoint = Path(tmp) / "paper.ckpt"
+        mv.save_checkpoint(mv.build(config, 0), config, checkpoint)
+        params, load_peak = load_traced(checkpoint)
     image, _ = mv.generate_phantom(mv.PhantomSpec(size=config.input_size, seed=9))
     batch = mv.image_to_tensor(image).astype(np.float32)
     weights = sum(w.nbytes + b.nbytes for w, b in params.values())
@@ -97,6 +113,7 @@ def main(argv=None) -> int:
     print(f"package: {Path(mv.__file__).parent}", file=sys.stderr)
     print(f"config: depth {config.depth}, base {config.base_channels}, {config.input_size}x"
           f"{config.input_size}, float32 weights {weights / MIB:.1f} MiB")
+    print(f"load peak above the weights: {(load_peak - weights) / MIB:.1f} MiB")
     print(f"forward peak above the weights: {forward_peak / MIB:.1f} MiB "
           f"(between calls {recorder.between / MIB:.1f} MiB, {len(calls)} calls)")
     print(f"{'layer':<18} {'kernel peak MiB':>15} {'live at entry MiB':>17}")
