@@ -10,7 +10,10 @@ uses) and never scatters patches back: d_input is itself a correlation of
 the zero-padded d_output with the flipped, channel-transposed kernel. Every
 patch matrix, forward and backward, comes from `_patches`, which zero-pads
 one band of input rows at a time and copies its sliding windows into one
-patch buffer that every row chunk of the call reuses. Max pooling keeps no
+patch buffer that every row chunk of the call reuses. A conv may read a
+second input joined after x along the channels (a U-Net skip and its
+upsampled array): `_patches` copies both into the band, so no join is built
+and every bit equals the conv over the concatenation. Max pooling keeps no
 argmax: its backward recomputes each window's argmax from the pool input,
 which a training cache holds anyway.
 
@@ -30,8 +33,9 @@ from scipy.special import expit
 from .errors import ShapeError, ValidationError
 from .tensor import Shape4
 
-# Cap on the patch matrix of one row chunk so 512x512 forwards fit in small RAM.
+# Caps on one row chunk's patch matrix (see `_chunk_rows`) so 512x512 forwards fit in small RAM.
 _COL_CHUNK_BYTES = 128 * 2**20
+_COL_CHUNK_COLS = 4096
 
 CCE_EPS = 1e-7
 
@@ -77,10 +81,14 @@ class LayerGrad(NamedTuple):
     d_bias: np.ndarray
 
 
-def _check_conv_args(x, weights, bias, spec: ConvSpec) -> Shape4:
+def _check_conv_args(x, weights, bias, spec: ConvSpec, x2=None) -> Shape4:
     s = Shape4.of(x)
-    if s.channels != spec.in_channels:
-        raise ShapeError(f"input has {s.channels} channels, spec wants {spec.in_channels}")
+    s2 = s._replace(channels=0) if x2 is None else Shape4.of(x2)
+    if (s2.batch, s2.height, s2.width) != (s.batch, s.height, s.width):
+        raise ShapeError(f"second input {x2.shape} does not match input {x.shape} outside the channels")
+    channels = s.channels + s2.channels
+    if channels != spec.in_channels:
+        raise ShapeError(f"input has {channels} channels, spec wants {spec.in_channels}")
     wshape = (spec.out_channels, spec.in_channels, spec.kernel, spec.kernel)
     if weights.shape != wshape:
         raise ShapeError(f"weights shape {weights.shape} != {wshape}")
@@ -90,29 +98,35 @@ def _check_conv_args(x, weights, bias, spec: ConvSpec) -> Shape4:
 
 
 def _chunk_rows(n: int, c: int, k: int, wo: int) -> int:
+    """Output rows per chunk: at most ceil(_COL_CHUNK_COLS / wo), and as many as fit _COL_CHUNK_BYTES
+    counted at 8 bytes per patch element whatever the dtype, so a float32 chunk is half the budget."""
     per_row = n * c * k * k * wo * 8
-    return max(1, _COL_CHUNK_BYTES // max(per_row, 1))
+    return max(1, min(_COL_CHUNK_BYTES // max(per_row, 1), -(-_COL_CHUNK_COLS // wo)))
 
 
-def _patches(x: np.ndarray, k: int, stride: int, p: int, ho: int, wo: int):
+def _patches(x: np.ndarray, k: int, stride: int, p: int, ho: int, wo: int, x2=None):
     """Yield (output column slice, patch matrix) for each chunk of output rows.
 
-    The patch matrix is batch-major, (N, C*k*k, rows*wo). Each chunk copies
-    the input rows it reads into a zero band, which is x padded by p on each
-    side (cropped by -p when p < 0), and copies the band's k x k sliding
-    windows, taken at the stride, into the patch matrix.
+    The patch matrix is batch-major, (N, C*k*k, rows*wo), where C counts the
+    channels of x and then of x2, if given. Each chunk copies the input rows
+    it reads, of x and of x2 after it, into a zero band, which is their join
+    padded by p on each side (cropped by -p when p < 0), and copies the
+    band's k x k sliding windows, taken at the stride, into the patch matrix.
 
     One band and one patch buffer, sized for the first and largest chunk,
     serve every chunk of the call: a yielded matrix is a view of that buffer
     and holds its values only until the next chunk is drawn.
     """
-    n, c, h, w = x.shape
+    n, c1, h, w = x.shape
+    c = c1 + (0 if x2 is None else x2.shape[1])
     step = min(_chunk_rows(n, c, k, wo), ho)
     band_w = (wo - 1) * stride + k
     xa, xb = max(-p, 0), min(band_w - p, w)
     band = np.zeros((n, c, (step - 1) * stride + k, band_w), dtype=x.dtype)
     buf = np.empty((n, c * k * k, step * wo), dtype=x.dtype)
     buf6 = buf.reshape(n, c, k, k, step, wo)
+    # The band's k x k windows at the stride, on buf6's axes; a chunk of fewer rows reads the first.
+    win = sliding_window_view(band, (k, k), axis=(2, 3))[:, :, ::stride, ::stride].transpose(0, 1, 4, 5, 2, 3)
     for r0 in range(0, ho, step):
         r1 = min(ho, r0 + step)
         rows, band_h = r1 - r0, (r1 - r0 - 1) * stride + k
@@ -125,30 +139,32 @@ def _patches(x: np.ndarray, k: int, stride: int, p: int, ho: int, wo: int):
         band[:, :, :top] = 0
         band[:, :, bottom:band_h] = 0
         if xa < xb:
-            band[:, :, top:bottom, xa + p : xb + p] = x[:, :, y0 + top : y0 + bottom, xa:xb]
-        win = sliding_window_view(band[:, :, :band_h], (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
-        np.copyto(buf6[:, :, :, :, :rows], win.transpose(0, 1, 4, 5, 2, 3))
+            band[:, :c1, top:bottom, xa + p : xb + p] = x[:, :, y0 + top : y0 + bottom, xa:xb]
+            if x2 is not None:
+                band[:, c1:, top:bottom, xa + p : xb + p] = x2[:, :, y0 + top : y0 + bottom, xa:xb]
+        np.copyto(buf6[:, :, :, :, :rows], win[:, :, :, :, :rows])
         yield slice(r0 * wo, r1 * wo), buf[:, :, : rows * wo]
 
 
-def _correlate(x: np.ndarray, wmat: np.ndarray, k: int, stride: int, p: int, ho: int, wo: int) -> np.ndarray:
-    """Bias-free cross-correlation of x, zero-padded by p, with `wmat` (Cout, C*k*k).
+def _correlate(x: np.ndarray, wmat: np.ndarray, k: int, stride: int, p: int, ho: int, wo: int,
+               x2=None) -> np.ndarray:
+    """Bias-free cross-correlation of x (joined with x2), zero-padded by p, with `wmat` (Cout, C*k*k).
 
     Runs one GEMM per image and row chunk, each writing straight into its
     slice of the (N, Cout, ho, wo) result.
     """
     out = np.empty((x.shape[0], wmat.shape[0], ho * wo), dtype=x.dtype)
-    for cols_at, cols in _patches(x, k, stride, p, ho, wo):
+    for cols_at, cols in _patches(x, k, stride, p, ho, wo, x2):
         np.matmul(wmat, cols, out=out[:, :, cols_at])
     return out.reshape(x.shape[0], wmat.shape[0], ho, wo)
 
 
-def conv2d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    """Cross-correlation with zero padding, via im2col + GEMM."""
-    s = _check_conv_args(x, weights, bias, spec)
+def conv2d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray, spec: ConvSpec, x2=None) -> np.ndarray:
+    """Cross-correlation with zero padding, via im2col + GEMM, of x joined with x2 if given."""
+    s = _check_conv_args(x, weights, bias, spec, x2)
     ho, wo = spec.out_size(s.height, s.width)
     wmat = weights.reshape(spec.out_channels, -1)
-    out = _correlate(x, wmat, spec.kernel, spec.stride, spec.padding, ho, wo)
+    out = _correlate(x, wmat, spec.kernel, spec.stride, spec.padding, ho, wo, x2)
     out += bias.reshape(1, -1, 1, 1)
     return out
 
@@ -182,14 +198,15 @@ def conv2d_forward_naive(x: np.ndarray, weights: np.ndarray, bias: np.ndarray, s
     return out
 
 
-def conv2d_backward(x: np.ndarray, weights: np.ndarray, spec: ConvSpec, d_output: np.ndarray) -> LayerGrad:
+def conv2d_backward(x: np.ndarray, weights: np.ndarray, spec: ConvSpec, d_output: np.ndarray, x2=None) -> LayerGrad:
     """Exact gradients of conv2d_forward w.r.t. input, weights, and bias.
 
     Stride 1 only. d_weights sums d_output[b] @ cols[b].T over images and
     row chunks; d_input correlates d_output, padded by k-1-p (cropped when
-    p > k-1), with the flipped, channel-transposed kernel.
+    p > k-1), with the flipped, channel-transposed kernel. With x2, d_input
+    covers the join: x's channels, then x2's.
     """
-    s = _check_conv_args(x, weights, None, spec)
+    s = _check_conv_args(x, weights, None, spec, x2)
     if spec.stride != 1:
         raise ValidationError(f"conv2d_backward supports stride 1 only, got stride {spec.stride}")
     k, p = spec.kernel, spec.padding
@@ -199,12 +216,12 @@ def conv2d_backward(x: np.ndarray, weights: np.ndarray, spec: ConvSpec, d_output
             f"d_output shape {d_output.shape} != {(s.batch, spec.out_channels, ho, wo)}"
         )
     d_om = d_output.reshape(s.batch, spec.out_channels, ho * wo)
-    d_wmat = np.zeros((spec.out_channels, s.channels * k * k), dtype=x.dtype)
-    for cols_at, cols in _patches(x, k, 1, p, ho, wo):
+    d_wmat = np.zeros((spec.out_channels, spec.in_channels * k * k), dtype=x.dtype)
+    for cols_at, cols in _patches(x, k, 1, p, ho, wo, x2):
         for b in range(s.batch):
             d_wmat += d_om[b, :, cols_at] @ cols[b].T
     del cols  # free the patch matrix before the d_input correlation builds its own
-    w_flip = weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(s.channels, -1)
+    w_flip = weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(spec.in_channels, -1)
     d_x = _correlate(d_output, w_flip, k, 1, k - 1 - p, s.height, s.width)
     d_bias = d_output.sum(axis=(0, 2, 3))
     return LayerGrad(d_x, d_wmat.reshape(weights.shape), d_bias)
@@ -266,12 +283,18 @@ def tconv2_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.n
     """Transposed convolution, kernel 2, stride 2: exact 2x upsampling.
 
     out[b,o,2y+dy,2x+dx] = sum_c x[b,c,y,x] * weights[c,o,dy,dx] + bias[o];
-    stride equals kernel size, so contributions never overlap.
+    stride equals kernel size, so contributions never overlap. Chunks of input
+    rows, sized as `_chunk_rows` sizes O*2*2 patch rows, fill one output.
     """
     s = _check_tconv_args(x, weights, bias)
-    t = np.tensordot(x, weights, axes=(1, 0))  # (N, H, W, O, 2, 2)
-    out = t.transpose(0, 3, 1, 4, 2, 5).reshape(s.batch, weights.shape[1], 2 * s.height, 2 * s.width)
-    out += bias.reshape(1, -1, 1, 1)  # in place: out is t's own copy or view
+    o = weights.shape[1]
+    out = np.empty((s.batch, o, 2 * s.height, 2 * s.width), dtype=x.dtype)
+    out6 = out.reshape(s.batch, o, s.height, 2, s.width, 2)
+    step = min(_chunk_rows(s.batch, o, 2, s.width), s.height)
+    for r0 in range(0, s.height, step):
+        t = np.tensordot(x[:, :, r0 : r0 + step], weights, axes=(1, 0))  # (N, rows, W, O, 2, 2)
+        out6[:, :, r0 : r0 + step] = t.transpose(0, 3, 1, 4, 2, 5)
+    out += bias.reshape(1, -1, 1, 1)
     return out
 
 
@@ -326,22 +349,6 @@ def softmax_channel_backward(output: np.ndarray, d_output: np.ndarray) -> np.nda
         raise ShapeError(f"softmax backward shape mismatch: {output.shape} vs {d_output.shape}")
     dot = (d_output * output).sum(axis=1, keepdims=True)
     return output * (d_output - dot)
-
-
-def concat_channels(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Stack two batches along the channel axis, a first."""
-    sa, sb = Shape4.of(a), Shape4.of(b)
-    if (sa.batch, sa.height, sa.width) != (sb.batch, sb.height, sb.width):
-        raise ShapeError(f"concat_channels mismatch: {a.shape} vs {b.shape}")
-    return np.concatenate([a, b], axis=1)
-
-
-def split_channels(t: np.ndarray, channels_a: int) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of concat_channels: first `channels_a` channels, then the rest."""
-    s = Shape4.of(t)
-    if not 0 < channels_a < s.channels:
-        raise ShapeError(f"cannot split {channels_a} channels out of {s.channels}")
-    return t[:, :channels_a], t[:, channels_a:]
 
 
 def categorical_cross_entropy(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:

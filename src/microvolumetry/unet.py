@@ -11,14 +11,17 @@ scores NUM_CLASSES (background, bone, implant); neither is configurable.
 
 Parameters are an ordered mapping {layer name: (weights, bias)}; gradients
 mirror that structure. The training cache holds {stage: (input, conv1, conv2
-activation)} and the head output "out"; backward reads each pool, tconv and
-head input from the conv2 activation of the stage that produced it.
+activation)}, a decoder stage's input being its upsampled array, and the head
+output "out"; backward reads each skip, pool, tconv and head input from the
+conv2 activation of the stage that produced it. No join is ever built: a
+decoder conv1 reads the skip and the upsampled array as `conv2d_forward`'s
+two inputs, which gives the bits of the conv over their concatenation.
 
 Without a cache, each decoder stage holds an array only until the next step
 has read it: `forward` drops the stage below's output once the tconv has
-upsampled it, the upsampled array and the skip once they are joined, and the
-stage drops the join once conv1 has read it. ReLU runs in place on each
-conv's fresh output; the cached activations are the same post-ReLU arrays.
+upsampled it, and the stage drops the skip and the upsampled array once
+conv1 has read them. ReLU runs in place on each conv's fresh output; the
+cached activations are the same post-ReLU arrays.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .data import _write_atomic
 from .errors import CheckpointError, ConsistencyError, ShapeError, ValidationError
 from .layers import (
     ConvSpec,
-    concat_channels,
     conv2d_backward,
     conv2d_forward,
     maxpool2_backward,
@@ -44,7 +46,6 @@ from .layers import (
     sigmoid_backward,
     softmax_channel,
     softmax_channel_backward,
-    split_channels,
     tconv2_backward,
     tconv2_forward,
 )
@@ -152,38 +153,40 @@ def _spec(w: np.ndarray) -> ConvSpec:
     return ConvSpec(w.shape[1], w.shape[0], kernel=w.shape[2])
 
 
-def _double_conv(params: Params, stage: str, cache: dict | None, x: np.ndarray) -> np.ndarray:
-    """conv1 -> ReLU -> conv2 -> ReLU of one stage over x; caches what backward needs.
+def _double_conv(params: Params, stage: str, cache: dict | None, x: np.ndarray, x2=None) -> np.ndarray:
+    """conv1 -> ReLU -> conv2 -> ReLU of one stage over x joined with x2, if given;
+    caches what backward needs, with x2 in x's place when given.
 
-    Without a cache the block drops its own reference to x once conv1 has
-    read it. x is freed there only if the caller keeps no other reference,
-    which holds for the decoder stages alone: `forward` passes their joined
-    skip and upsampled array unbound, while an encoder or bottleneck input
-    stays bound in the caller's `x` until the call returns. ReLU runs in
-    place on each conv's fresh output.
+    Without a cache the block drops x and x2 once conv1 has read them. They are
+    freed there only if the caller holds no other reference, as for a decoder
+    stage's unbound skip and upsampled array; an encoder or bottleneck input
+    stays bound in the caller's `x` until the call returns. ReLU runs in place
+    on each conv's fresh output.
     """
     w1, b1 = params[f"{stage}.conv1"]
     w2, b2 = params[f"{stage}.conv2"]
-    a1 = conv2d_forward(x, w1, b1, _spec(w1))
+    a1 = conv2d_forward(x, w1, b1, _spec(w1), x2=x2)
     np.maximum(a1, 0.0, out=a1)
     if cache is None:
-        del x
+        del x, x2
     a2 = conv2d_forward(a1, w2, b2, _spec(w2))
     np.maximum(a2, 0.0, out=a2)
     if cache is not None:
-        cache[stage] = (x, a1, a2)
+        cache[stage] = (x if x2 is None else x2, a1, a2)
     return a2
 
 
 def _double_conv_backward(
-    params: Params, stage: str, cache: dict, d: np.ndarray, grads: Params
+    params: Params, stage: str, cache: dict, d: np.ndarray, grads: Params, skip=None
 ) -> np.ndarray:
-    """Backward of `_double_conv`: stores both conv gradients, returns d_input."""
+    """Backward of `_double_conv`: stores both conv gradients, returns d_input. A decoder
+    stage passes its skip, which d_input then covers ahead of the cached upsampled array."""
     x, a1, a2 = cache[stage]
+    x, x2 = (x, None) if skip is None else (skip, x)
     w1, _ = params[f"{stage}.conv1"]
     w2, _ = params[f"{stage}.conv2"]
     g2 = conv2d_backward(a1, w2, _spec(w2), relu_backward(a2, d))
-    g1 = conv2d_backward(x, w1, _spec(w1), relu_backward(a1, g2.d_input))
+    g1 = conv2d_backward(x, w1, _spec(w1), relu_backward(a1, g2.d_input), x2=x2)
     grads[f"{stage}.conv1"] = (g1.d_weights, g1.d_bias)
     grads[f"{stage}.conv2"] = (g2.d_weights, g2.d_bias)
     return g1.d_input
@@ -217,12 +220,12 @@ def forward(
 
     for i in reversed(range(config.depth)):
         wt, bt = params[f"dec{i}.tconv"]
-        # The stage below's output goes before the join exists. The skip and the
-        # upsampled array (held only by the one-slot list) go when the join is
-        # built, and the stage frees the unbound join once its conv1 has read it.
+        # The stage below's output goes once the tconv has read it. The skip and
+        # the upsampled array (held only by the one-slot list) reach the stage
+        # unbound, so it frees both once its conv1 has read them.
         up = [tconv2_forward(x, wt, bt)]
         del x
-        x = _double_conv(params, f"dec{i}", cache, concat_channels(skips.pop(), up.pop()))
+        x = _double_conv(params, f"dec{i}", cache, skips.pop(), up.pop())
 
     wh, bh = params["head"]
     pre = conv2d_forward(x, wh, bh, _spec(wh))
@@ -250,9 +253,10 @@ def backward(params: Params, config: UNetConfig, cache: dict, d_scores: np.ndarr
 
     d_skips: list[np.ndarray] = []
     for i in range(config.depth):  # reverse of the forward decoder order
-        d = _double_conv_backward(params, f"dec{i}", cache, d, grads)
-        d_skip, d = split_channels(d, _enc_channels(config, i))
-        d_skips.append(d_skip)
+        d = _double_conv_backward(params, f"dec{i}", cache, d, grads, cache[f"enc{i}"][2])
+        c = _enc_channels(config, i)
+        d_skips.append(d[:, :c])
+        d = d[:, c:]
         wt, _ = params[f"dec{i}.tconv"]
         below = f"dec{i + 1}" if i + 1 < config.depth else "bottleneck"
         gt = tconv2_backward(cache[below][2], wt, d)

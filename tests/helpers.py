@@ -73,7 +73,7 @@ def hazard_margins(params: dict, cfg: mv.UNetConfig, xb: np.ndarray) -> tuple[fl
     x = conv_relu(conv_relu(x, "bottleneck.conv1"), "bottleneck.conv2")
     for i in reversed(range(cfg.depth)):
         wt, bt = params[f"dec{i}.tconv"]
-        joined = L.concat_channels(skips[i], L.tconv2_forward(x, wt, bt))
+        joined = np.concatenate([skips[i], L.tconv2_forward(x, wt, bt)], axis=1)
         x = conv_relu(conv_relu(joined, f"dec{i}.conv1"), f"dec{i}.conv2")
     return relu_m, pool_m
 

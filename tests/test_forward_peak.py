@@ -51,3 +51,25 @@ def test_decoder_conv1_starts_with_only_its_join_live():
     join_bytes = 2 * cfg.base_channels * 64 * 64 * 4
     [entry] = [entry for layer, entry, _ in recorder.calls if layer == "dec0.conv1"]
     assert entry <= join_bytes + 8192, (entry, join_bytes)
+
+
+def test_forward_builds_no_skip_join(monkeypatch):
+    # With one-row patch chunks, a join live beside the skip and the upsampled
+    # array would be the forward's peak. Without one, the peak is dec0.conv1's
+    # two inputs, its output, and one chunk's band and patch buffer. The slack
+    # covers the few KiB of Python objects live during the traced forward.
+    monkeypatch.setattr(layers, "_COL_CHUNK_BYTES", 1)
+    tool = load_tool()
+    cfg = mv.UNetConfig(depth=2, base_channels=8, input_size=64)
+    params = {name: (w.astype(np.float32), b.astype(np.float32))
+              for name, (w, b) in mv.build(cfg, 0).items()}
+    batch = np.random.default_rng(0).random((1, 1, 64, 64), dtype=np.float32)
+    mv.forward(params, cfg, batch, want_cache=False)  # first calls fill numpy's own caches
+    recorder = tool.PeakRecorder(params, cfg)
+    recorder.run(params, cfg, batch)
+    c, size, k = cfg.base_channels, cfg.input_size, 3
+    activation = c * size * size * 4  # the skip, the upsampled array and the output each
+    rows = layers._chunk_rows(1, 2 * c, k, size)
+    chunk = 2 * c * (rows + k - 1) * (size + k - 1) * 4 + 2 * c * k * k * rows * size * 4
+    peak = max([recorder.between] + [peak for _, _, peak in recorder.calls])
+    assert peak <= 3 * activation + chunk + 16384, (peak, 3 * activation + chunk)

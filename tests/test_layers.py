@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -180,6 +182,52 @@ class TestChunkedConv:
         chunked = L.conv2d_backward(x, w, spec, d)
         for a, b in zip(chunked, whole):
             assert np.abs(a - b).max() < 1e-12
+
+
+class TestTwoInputConv:
+    """A conv over x joined with x2 equals the conv over np.concatenate, bit for bit."""
+
+    @staticmethod
+    def _case(dtype, kernel, padding):
+        rng = np.random.default_rng(kernel * 10 + padding)
+        x, x2 = (rng.standard_normal((2, c, 7, 6)).astype(dtype) for c in (3, 2))
+        w = rng.standard_normal((4, 5, kernel, kernel)).astype(dtype)
+        b = rng.standard_normal(4).astype(dtype)
+        spec = ConvSpec(5, 4, kernel=kernel, padding=padding)
+        d = rng.standard_normal((2, 4) + spec.out_size(7, 6)).astype(dtype)
+        return x, x2, w, b, spec, d
+
+    @pytest.mark.parametrize("chunk_bytes", [None, 1], ids=["whole", "one_row"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("kernel,padding", [(3, 1), (1, 0), (5, 2), (3, 3)])
+    def test_equals_the_conv_over_the_concatenation(self, monkeypatch, chunk_bytes, dtype, kernel, padding):
+        if chunk_bytes is not None:
+            monkeypatch.setattr(L, "_COL_CHUNK_BYTES", chunk_bytes)
+        x, x2, w, b, spec, d = self._case(dtype, kernel, padding)
+        joined = np.concatenate([x, x2], axis=1)
+        out = L.conv2d_forward(x, w, b, spec, x2=x2)
+        assert out.dtype == dtype
+        assert np.array_equal(out, L.conv2d_forward(joined, w, b, spec))
+        got = L.conv2d_backward(x, w, spec, d, x2=x2)
+        want = L.conv2d_backward(joined, w, spec, d)
+        for a, e in zip(got, want):
+            assert a.dtype == dtype
+            assert np.array_equal(a, e)
+
+    @pytest.mark.parametrize("shape", [(1, 2, 7, 6), (2, 2, 6, 6), (2, 2, 7, 5)])
+    def test_second_input_of_other_geometry_names_both_shapes(self, shape):
+        x, _, w, b, spec, d = self._case(np.float64, 3, 1)
+        x2 = np.zeros(shape)
+        both = f"{re.escape(str(shape))}.*{re.escape(str(x.shape))}"
+        with pytest.raises(ShapeError, match=both):
+            L.conv2d_forward(x, w, b, spec, x2=x2)
+        with pytest.raises(ShapeError, match=both):
+            L.conv2d_backward(x, w, spec, d, x2=x2)
+
+    def test_channels_of_both_inputs_must_sum_to_the_spec(self):
+        x, x2, w, b, spec, _ = self._case(np.float64, 3, 1)
+        with pytest.raises(ShapeError, match="6 channels"):
+            L.conv2d_forward(x, w, b, spec, x2=np.concatenate([x2, x2[:, :1]], axis=1))
 
 
 def reference_patches(x, k, stride, p, ho, wo):
@@ -373,6 +421,21 @@ class TestTransposedConv:
         b = rng.standard_normal(2)
         assert np.abs(L.tconv2_forward(x, w, b) - naive_tconv(x, w, b)).max() < 1e-12
 
+    @pytest.mark.parametrize("rows", [1, 2])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_row_chunks_equal_one_chunk(self, monkeypatch, rows, dtype):
+        rng = np.random.default_rng(rows)
+        x = rng.standard_normal((2, 3, 5, 4)).astype(dtype)
+        w = rng.standard_normal((3, 2, 2, 2)).astype(dtype)
+        b = rng.standard_normal(2).astype(dtype)
+        whole = L.tconv2_forward(x, w, b)
+        # one input row of the (N, rows, W, O, 2, 2) product is 2*4*2*4 elements, counted at 8 bytes
+        monkeypatch.setattr(L, "_COL_CHUNK_BYTES", rows * 2 * 4 * 2 * 4 * 8)
+        assert L._chunk_rows(2, 2, 2, 4) == rows
+        chunked = L.tconv2_forward(x, w, b)
+        assert whole.dtype == chunked.dtype == dtype
+        assert np.array_equal(chunked, whole)
+
     def test_output_doubles_spatial_extents(self):
         out = L.tconv2_forward(np.zeros((1, 2, 3, 7)), np.zeros((2, 4, 2, 2)), np.zeros(4))
         assert out.shape == (1, 4, 6, 14)
@@ -427,23 +490,6 @@ class TestActivations:
         out = L.softmax_channel(x)
         assert np.isfinite(out).all()
         assert abs(out[0, 0, 0, 0] - 1.0) < 1e-12
-
-
-class TestConcatSplit:
-    def test_round_trip(self):
-        rng = np.random.default_rng(2)
-        a = rng.standard_normal((1, 2, 4, 4))
-        b = rng.standard_normal((1, 3, 4, 4))
-        joined = L.concat_channels(a, b)
-        assert joined.shape == (1, 5, 4, 4)
-        a2, b2 = L.split_channels(joined, 2)
-        assert np.array_equal(a2, a) and np.array_equal(b2, b)
-
-    def test_spatial_mismatch_rejected(self):
-        with pytest.raises(ShapeError):
-            L.concat_channels(np.zeros((1, 1, 4, 4)), np.zeros((1, 1, 2, 2)))
-        with pytest.raises(ShapeError):
-            L.split_channels(np.zeros((1, 2, 4, 4)), 2)
 
 
 class TestCrossEntropy:

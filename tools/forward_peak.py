@@ -16,8 +16,7 @@ forward's own working set, on top of the weights. Calls are named by
 perfbench's `LayerMap` (a conv or tconv by its weight array, a pool by the
 size of its input) and wrapped with perfbench's `patch_bindings`, so the
 names are the ones `perfbench/run.py --trace 1` reports. The "between calls"
-figure is the highest peak reached outside every wrapped call, such as a
-skip concatenation.
+figure is the highest peak reached outside every wrapped call.
 """
 
 from __future__ import annotations
@@ -49,12 +48,12 @@ class PeakRecorder:
         self.between = 0
 
     def _wrap(self, fn, layer_of):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             entry, peak = tracemalloc.get_traced_memory()
             self.between = max(self.between, peak)
             tracemalloc.reset_peak()
             try:
-                return fn(*args)
+                return fn(*args, **kwargs)
             finally:
                 self.calls.append((layer_of(args) or "?", entry, tracemalloc.get_traced_memory()[1]))
                 tracemalloc.reset_peak()
