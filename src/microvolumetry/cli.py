@@ -243,6 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for name, value in vars(args).items():  # os.fspath and open raise ValueError on a NUL
+            if isinstance(value, str) and "\0" in value:
+                raise ValidationError(f"--{name.replace('_', '-')} holds a NUL byte")
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

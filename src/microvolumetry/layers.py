@@ -1,21 +1,21 @@
 """Forward and backward passes for every layer in the segmentation network.
 
-Convolutions are cross-correlations (no kernel flip). Each op comes in two
-routes where it matters: conv2d has a GEMM/im2col fast path and a naive
-nested-loop oracle that the fast path must match to 1e-12; every backward
-pass is checked against central finite differences by `gradient_check`.
+Convolutions are cross-correlations (no kernel flip). conv2d has a GEMM/im2col
+fast path and a naive nested-loop oracle that it must match to 1e-12; every
+backward pass is checked against central finite differences by `gradient_check`.
 
-The conv backward handles stride 1 only (the only stride the network
-uses) and never scatters patches back: d_input is itself a correlation of
-the zero-padded d_output with the flipped, channel-transposed kernel. Every
-patch matrix, forward and backward, comes from `_patches`, which zero-pads
-one band of input rows at a time and copies its sliding windows into one
-patch buffer that every row chunk of the call reuses. A conv may read a
-second input joined after x along the channels (a U-Net skip and its
-upsampled array): `_patches` copies both into the band, so no join is built
-and every bit equals the conv over the concatenation. Max pooling keeps no
-argmax: its backward recomputes each window's argmax from the pool input,
-which a training cache holds anyway.
+The conv backward handles stride 1 only (the only stride the network uses) and
+never scatters patches back: d_input is itself a correlation of the zero-padded
+d_output with the flipped, channel-transposed kernel. Every patch matrix comes
+from `_patches`, which zero-pads one band of input rows at a time and copies its
+sliding windows into one patch buffer that every row chunk of the call reuses. A
+conv may read a second input joined after x along the channels (a U-Net skip and
+its upsampled array): both are copied into the band, so no join is built and
+every bit equals the conv over the concatenation. `_correlate` holds back each
+chunk's GEMM result until the next chunk's band has copied its input rows, so a
+conv may write its output into x itself, at stride 1 with padding at most one
+chunk's rows. Max pooling keeps no argmax: its backward recomputes each window's
+argmax from the pool input, which a training cache holds anyway.
 
 Arrays are laid out (batch, channels, height, width). Every kernel returns
 the dtype of its input: training runs in float64, `predict` in float32.
@@ -33,9 +33,10 @@ from scipy.special import expit
 from .errors import ShapeError, ValidationError
 from .tensor import Shape4
 
-# Caps on one row chunk's patch matrix (see `_chunk_rows`) so 512x512 forwards fit in small RAM.
+# Caps on one row chunk's patch matrix (see `_chunk_rows`). 512 columns keep a float32 patch chunk of a
+# 512x512 layer at 1.2-2.4 MiB, near a 2 MiB L2: there 4096 ran enc0.conv2 at 430 ms against 336.
 _COL_CHUNK_BYTES = 128 * 2**20
-_COL_CHUNK_COLS = 4096
+_COL_CHUNK_COLS = 512
 
 CCE_EPS = 1e-7
 
@@ -112,10 +113,8 @@ def _patches(x: np.ndarray, k: int, stride: int, p: int, ho: int, wo: int, x2=No
     it reads, of x and of x2 after it, into a zero band, which is their join
     padded by p on each side (cropped by -p when p < 0), and copies the
     band's k x k sliding windows, taken at the stride, into the patch matrix.
-
     One band and one patch buffer, sized for the first and largest chunk,
-    serve every chunk of the call: a yielded matrix is a view of that buffer
-    and holds its values only until the next chunk is drawn.
+    serve every chunk: a yielded matrix holds its values until the next draw.
     """
     n, c1, h, w = x.shape
     c = c1 + (0 if x2 is None else x2.shape[1])
@@ -147,34 +146,46 @@ def _patches(x: np.ndarray, k: int, stride: int, p: int, ho: int, wo: int, x2=No
 
 
 def _correlate(x: np.ndarray, wmat: np.ndarray, k: int, stride: int, p: int, ho: int, wo: int,
-               x2=None) -> np.ndarray:
-    """Bias-free cross-correlation of x (joined with x2), zero-padded by p, with `wmat` (Cout, C*k*k).
-
-    Runs one GEMM per image and row chunk, each writing straight into its
-    slice of the (N, Cout, ho, wo) result.
-    """
-    out = np.empty((x.shape[0], wmat.shape[0], ho * wo), dtype=x.dtype)
+               x2=None, out=None) -> np.ndarray:
+    """Bias-free cross-correlation of x (joined with x2), zero-padded by p, with `wmat` (Cout, C*k*k),
+    into `out` (N, Cout, ho, wo), fresh if None. Each row chunk's GEMMs, one per image, fill one held-back
+    buffer, stored only once the next chunk's band has copied its input rows. So `out` may be x at stride 1
+    with p at most one chunk's rows: every row that a later chunk reads lies below the rows stored."""
+    n, m = x.shape[0], wmat.shape[0]
+    out = np.empty((n, m, ho, wo), dtype=x.dtype) if out is None else out
+    flat, at = out.reshape(n, m, ho * wo), slice(0, 0)
+    held = np.empty((n, m, min(_chunk_rows(n, wmat.shape[1] // k**2, k, wo), ho) * wo), dtype=x.dtype)
     for cols_at, cols in _patches(x, k, stride, p, ho, wo, x2):
-        np.matmul(wmat, cols, out=out[:, :, cols_at])
-    return out.reshape(x.shape[0], wmat.shape[0], ho, wo)
+        flat[:, :, at] = held[:, :, : at.stop - at.start]
+        at = cols_at
+        np.matmul(wmat, cols, out=held[:, :, : cols.shape[2]])
+    flat[:, :, at] = held[:, :, : at.stop - at.start]
+    return out
 
 
-def conv2d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray, spec: ConvSpec, x2=None) -> np.ndarray:
-    """Cross-correlation with zero padding, via im2col + GEMM, of x joined with x2 if given."""
+def conv2d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray, spec: ConvSpec, x2=None, out=None) -> np.ndarray:
+    """Cross-correlation with zero padding, via im2col + GEMM, of x joined with x2 if given, into
+    `out` if given: a C-contiguous array of the output's shape and x's dtype that overlaps neither
+    input, or x itself where `_correlate` allows. Otherwise ValidationError, before any write."""
     s = _check_conv_args(x, weights, bias, spec, x2)
     ho, wo = spec.out_size(s.height, s.width)
+    shape = (s.batch, spec.out_channels, ho, wo)
+    if out is not None:
+        step = min(_chunk_rows(s.batch, spec.in_channels, spec.kernel, wo), ho)
+        in_place = out is x and spec.stride == 1 and (spec.padding <= step or step == ho)
+        if (not out.flags.c_contiguous or out.shape != shape or out.dtype != x.dtype
+                or np.may_share_memory(out, x) and not in_place or x2 is not None and np.may_share_memory(out, x2)):
+            raise ValidationError(f"out must be a C-contiguous {x.dtype} array of shape {shape} that overlaps "
+                                  f"no input, or x itself at stride 1 with padding <= {step} chunk rows")
     wmat = weights.reshape(spec.out_channels, -1)
-    out = _correlate(x, wmat, spec.kernel, spec.stride, spec.padding, ho, wo, x2)
+    out = _correlate(x, wmat, spec.kernel, spec.stride, spec.padding, ho, wo, x2, out)
     out += bias.reshape(1, -1, 1, 1)
     return out
 
 
 def conv2d_forward_naive(x: np.ndarray, weights: np.ndarray, bias: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    """Nested-loop reference convolution; the always-available oracle.
-
-    Out-of-bounds input positions contribute zero, exactly as the padded
-    fast path treats them.
-    """
+    """Nested-loop reference convolution, the oracle; out-of-bounds input positions
+    contribute zero, exactly as the padded fast path treats them."""
     s = _check_conv_args(x, weights, bias, spec)
     k, stride, p = spec.kernel, spec.stride, spec.padding
     ho, wo = spec.out_size(s.height, s.width)

@@ -118,8 +118,12 @@ def write_report(rep: VolumetryReport, counts, path) -> None:
 
 def read_reference(path) -> tuple[int, float]:
     """Parse the reference-software export: pixels_M=<int>, V_M_mm3=<decimal>."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     values: dict[str, str] = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -17,11 +17,11 @@ conv2 activation of the stage that produced it. No join is ever built: a
 decoder conv1 reads the skip and the upsampled array as `conv2d_forward`'s
 two inputs, which gives the bits of the conv over their concatenation.
 
-Without a cache, each decoder stage holds an array only until the next step
-has read it: `forward` drops the stage below's output once the tconv has
-upsampled it, and the stage drops the skip and the upsampled array once
-conv1 has read them. ReLU runs in place on each conv's fresh output; the
-cached activations are the same post-ReLU arrays.
+Without a cache no array outlives its last read: `forward` drops the stage
+below's output once the tconv has upsampled it, a decoder conv1 writes its
+output into its skip and frees the upsampled array, and every conv2 writes
+into conv1's output. ReLU runs in place. With a cache every conv output is a
+fresh array, and the cached activations are the post-ReLU arrays.
 """
 
 from __future__ import annotations
@@ -157,19 +157,18 @@ def _double_conv(params: Params, stage: str, cache: dict | None, x: np.ndarray, 
     """conv1 -> ReLU -> conv2 -> ReLU of one stage over x joined with x2, if given;
     caches what backward needs, with x2 in x's place when given.
 
-    Without a cache the block drops x and x2 once conv1 has read them. They are
-    freed there only if the caller holds no other reference, as for a decoder
-    stage's unbound skip and upsampled array; an encoder or bottleneck input
-    stays bound in the caller's `x` until the call returns. ReLU runs in place
-    on each conv's fresh output.
+    Without a cache the block writes into arrays the network made and has read:
+    a decoder conv1 into its skip x, which has its output's shape, and conv2 into
+    conv1's output. It drops x2, the upsampled array, once conv1 has read it. An
+    encoder's x may be the caller's image and is never written. ReLU runs in place.
     """
     w1, b1 = params[f"{stage}.conv1"]
     w2, b2 = params[f"{stage}.conv2"]
-    a1 = conv2d_forward(x, w1, b1, _spec(w1), x2=x2)
+    a1 = conv2d_forward(x, w1, b1, _spec(w1), x2=x2, out=x if cache is None and x2 is not None else None)
     np.maximum(a1, 0.0, out=a1)
     if cache is None:
         del x, x2
-    a2 = conv2d_forward(a1, w2, b2, _spec(w2))
+    a2 = conv2d_forward(a1, w2, b2, _spec(w2), out=a1 if cache is None else None)
     np.maximum(a2, 0.0, out=a2)
     if cache is not None:
         cache[stage] = (x if x2 is None else x2, a1, a2)
@@ -195,10 +194,8 @@ def _double_conv_backward(
 def forward(
     params: Params, config: UNetConfig, batch: np.ndarray, want_cache: bool = True
 ) -> tuple[np.ndarray, dict | None]:
-    """Run the network over an image batch; cache holds what backward needs.
-
-    Pass want_cache=False for inference to skip retaining activations.
-    """
+    """Run the network over an image batch; the cache holds what backward needs.
+    Pass want_cache=False for inference, which retains no activations."""
     s = Shape4.of(batch)
     if s.channels != 1:
         raise ShapeError(f"batch has {s.channels} channels, the network takes 1")
@@ -220,9 +217,9 @@ def forward(
 
     for i in reversed(range(config.depth)):
         wt, bt = params[f"dec{i}.tconv"]
-        # The stage below's output goes once the tconv has read it. The skip and
-        # the upsampled array (held only by the one-slot list) reach the stage
-        # unbound, so it frees both once its conv1 has read them.
+        # The stage below's output goes once the tconv has read it. The upsampled
+        # array, held only by the one-slot list, reaches the stage unbound, so it
+        # is freed once conv1 has read it; conv1 writes its output into the skip.
         up = [tconv2_forward(x, wt, bt)]
         del x
         x = _double_conv(params, f"dec{i}", cache, skips.pop(), up.pop())

@@ -457,6 +457,18 @@ class TestVolumetry:
         assert "V_M_mm3" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_utf8_reference_exits_2_without_output(self, trained, tmp_path, capsys):
+        # raised UnicodeDecodeError out of main
+        ref = tmp_path / "ref.txt"
+        ref.write_bytes(b"pixels_M=120\nV_M_mm3=2.5 # caf\xe9\n")
+        out = tmp_path / "vol.csv"
+        code = main(["volumetry", "--pred", str(trained / "data" / "masks"),
+                     "--reference", str(ref), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "not UTF-8" in err[0]
+        assert not out.exists()
+
     def test_missing_reference_exits_3(self, trained, tmp_path):
         code = main(["volumetry", "--pred", str(trained / "data" / "masks"),
                      "--reference", str(tmp_path / "no.txt"),
@@ -482,6 +494,19 @@ class TestParser:
             main([])
         assert exc.value.code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--out", "d\0", "--count", "1", "--size", "8"],
+        ["train", "--config", "run\0.cfg"],
+        ["evaluate", "--pred", "p", "--truth", "t", "--out", "e\0.csv"],
+    ])
+    def test_nul_byte_in_an_argument_exits_2_and_writes_nothing(self, tmp_path, monkeypatch, capsys, argv):
+        # raised ValueError (embedded null byte) out of main
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        flag = argv[[i for i, a in enumerate(argv) if "\0" in a][0] - 1]
+        assert capsys.readouterr().err == f"error: {flag} holds a NUL byte\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_console_script_is_installed(self):
         exe = shutil.which("microvolumetry")

@@ -73,3 +73,24 @@ def test_forward_builds_no_skip_join(monkeypatch):
     chunk = 2 * c * (rows + k - 1) * (size + k - 1) * 4 + 2 * c * k * k * rows * size * 4
     peak = max([recorder.between] + [peak for _, _, peak in recorder.calls])
     assert peak <= 3 * activation + chunk + 16384, (peak, 3 * activation + chunk)
+
+
+def test_decoder_conv1_writes_into_its_skip(monkeypatch):
+    # dec0.conv1 stores its output in its skip, so inside the call nothing as
+    # large as an activation is live beside its two inputs: only one chunk's
+    # band, patch buffer and held-back GEMM result.
+    monkeypatch.setattr(layers, "_COL_CHUNK_BYTES", 1)
+    tool = load_tool()
+    cfg = mv.UNetConfig(depth=2, base_channels=8, input_size=64)
+    params = {name: (w.astype(np.float32), b.astype(np.float32))
+              for name, (w, b) in mv.build(cfg, 0).items()}
+    batch = np.random.default_rng(0).random((1, 1, 64, 64), dtype=np.float32)
+    mv.forward(params, cfg, batch, want_cache=False)  # first calls fill numpy's own caches
+    recorder = tool.PeakRecorder(params, cfg)
+    recorder.run(params, cfg, batch)
+    c, size, k = cfg.base_channels, cfg.input_size, 3
+    inputs = 2 * c * size * size * 4  # the skip and the upsampled array
+    rows = layers._chunk_rows(1, 2 * c, k, size)
+    chunk = (2 * c * (rows + k - 1) * (size + k - 1) + 2 * c * k * k * rows * size + c * rows * size) * 4
+    [peak] = [peak for layer, _, peak in recorder.calls if layer == "dec0.conv1"]
+    assert peak <= inputs + chunk + 16384, (peak, inputs + chunk)

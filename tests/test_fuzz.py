@@ -1,15 +1,21 @@
-"""Fuzz the parsers of untrusted files: read_pgm, load_checkpoint, parse_config.
+"""Fuzz the parsers of untrusted files (read_pgm, load_checkpoint, parse_config) and the CLI.
 
 Whatever the bytes, each parser either returns or raises its own named
 error (PgmFormatError, CheckpointError, ValidationError), which the CLI maps
 to an exit code. Inputs are raw bytes, valid files with a few bytes
 overwritten, inserted or cut, and files whose header fields are replaced by
-arbitrary 32-bit values. The examples are derandomized, so every run checks
-the same inputs.
+arbitrary 32-bit values. The CLI target calls `main` with the parser's own
+subcommands and flags and junk values, and checks the exit-code contract.
+The examples are derandomized, so every run checks the same inputs.
 """
 
+import contextlib
+import io
+import os
+import shutil
 import struct
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +23,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import microvolumetry as mv
+from microvolumetry.cli import build_parser, main
 from microvolumetry.data import MAXVAL
 from microvolumetry.errors import CheckpointError, PgmFormatError, ValidationError
 
@@ -27,6 +34,8 @@ from helpers import (
     NON_UTF8_CONFIG,
     NON_UTF8_NAME_CHECKPOINT,
     checkpoint_bytes,
+    tiny_dataset,
+    write_config,
 )
 
 FUZZ = settings(
@@ -146,3 +155,106 @@ def test_parse_config_raises_only_validation_error(scratch, blob):
     except ValidationError:
         return
     assert cfg.dataset
+
+
+# Names in the CLI target's working directory, made by `cli_root`, plus some that do not exist.
+CLI_PATHS = [
+    "data", "data/images", "data/masks", "data/manifest.txt", "data/images/phantom_00000.pgm",
+    "pred", "model.ckpt", "run.cfg", "bad.cfg", "ref.txt", "junk.bin", "empty", "missing",
+    "missing/x", "out", "out.csv", "", ".", "..",
+]
+# The path each flag usually names, so that most examples get past the first check.
+CLI_GOOD_PATHS = {"out": "out", "config": "run.cfg", "checkpoint": "model.ckpt", "images": "data",
+                  "pred": "pred", "truth": "data/masks", "reference": "ref.txt"}
+# Values per flag dest. Sizes, counts and epochs stay small, so no example takes much over a second.
+CLI_INTS = {"count": st.integers(-1, 3), "size": st.sampled_from([-1, 0, 7, 8, 16, 17, 32]),
+            "seed": st.integers(-2, 2**32), "streaks": st.integers(-1, 5)}
+
+
+def cli_values(dest: str):
+    junk = st.text(max_size=6).filter(lambda t: "/" not in t and "\\" not in t)
+    if dest in CLI_INTS:
+        return st.one_of(CLI_INTS[dest].map(str), junk)
+    if dest in ("implant_radius", "bone_density", "noise_sigma"):
+        floats = st.sampled_from(["nan", "inf", "-inf", "-0.1", "0", "0.3", "1", "1e308"])
+        return st.one_of(floats, st.floats(-2, 2).map(str), junk)
+    good = st.just(CLI_GOOD_PATHS[dest])
+    return st.one_of(good, good, st.sampled_from(CLI_PATHS), junk)  # the usual path half the time
+
+
+def cli_flags():
+    """{subcommand: [(option string, dest, required)]}, read from the real parser."""
+    [sub] = [a for a in build_parser()._actions if a.dest == "command"]
+    return {name: [(a.option_strings[-1], a.dest, a.required) for a in parser._actions if a.dest != "help"]
+            for name, parser in sub.choices.items()}
+
+
+CLI_FLAGS = cli_flags()
+
+
+@st.composite
+def cli_argvs(draw):
+    """A subcommand and its flags in any order: a required flag is left out one time in ten,
+    an optional one half the time, and a junk token may land anywhere."""
+    command = draw(st.sampled_from(sorted(CLI_FLAGS)))
+    argv = [command]
+    for option, dest, required in draw(st.permutations(CLI_FLAGS[command])):
+        if draw(st.integers(0, 9)) < (9 if required else 5):
+            argv += [option, draw(cli_values(dest))]
+    if draw(st.integers(0, 3)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.text(max_size=4)))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def cli_root(tmp_path_factory):
+    """A dataset, a trained checkpoint, configs and a reference, copied into each example's directory."""
+    root = tmp_path_factory.mktemp("cli")
+    tiny_dataset(root / "data", count=3)
+    write_config(root / "run.cfg", dataset="data", checkpoint="model.ckpt", metrics="metrics.csv",
+                 depth=1, base_channels=2, input_size=16, epochs=1, batch_size=2, seed=1, split="0.34")
+    write_config(root / "bad.cfg", dataset="data", epochs=-1)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["train", "--config", str(root / "run.cfg")]) == 0
+        assert main(["predict", "--checkpoint", str(root / "model.ckpt"), "--images", str(root / "data"),
+                     "--out", str(root / "pred")]) == 0
+    (root / "ref.txt").write_text("pixels_M=120\nV_M_mm3=2.5\n")
+    (root / "junk.bin").write_bytes(b"\xff\xfe\x00 pixels_M=1\n")
+    (root / "empty").mkdir()
+    return root
+
+
+def listing(directory: Path) -> dict:
+    return {p.name: p.stat().st_mtime_ns for p in directory.iterdir()}
+
+
+@settings(FUZZ, max_examples=300)
+@given(argv=cli_argvs())
+@example(argv=["evaluate", "--pred", "pred", "--truth", "data/masks", "--out", "out.csv"])
+@example(argv=["volumetry", "--pred", "pred", "--reference", "junk.bin"])  # UnicodeDecodeError
+@example(argv=["predict", "--checkpoint", "model.ckpt", "--images", "data", "--out", "o\0"])  # ValueError
+def test_cli_keeps_its_exit_code_contract(cli_root, argv):
+    """Every exit is 0, 2, 3, 4 or 5, and a failure prints one `error:` line. Each example runs in
+    a fresh copy of `cli_root` two levels inside pytest's base temp dir, so `..` stays inside it,
+    and nothing may change beside that dir or in the starting directory. argparse exits through
+    SystemExit (2 for a usage error), which is read as the exit code."""
+    base = cli_root.parent  # pytest's base temp dir
+    work = base / "cli_work" / "run"
+    shutil.rmtree(work.parent, ignore_errors=True)
+    shutil.copytree(cli_root, work)
+    outside = [base.parent, Path.cwd()]
+    before = [listing(d) for d in outside]
+    err, cwd = io.StringIO(), os.getcwd()
+    os.chdir(work)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 2, 3, 4, 5), (argv, code)
+    if code:
+        assert sum("error:" in line for line in err.getvalue().splitlines()) == 1, err.getvalue()
+    assert [listing(d) for d in outside] == before

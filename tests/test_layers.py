@@ -230,6 +230,75 @@ class TestTwoInputConv:
             L.conv2d_forward(x, w, b, spec, x2=np.concatenate([x2, x2[:, :1]], axis=1))
 
 
+class TestConvIntoItsInput:
+    """`out=x` gives the bits of a fresh output; an unsafe or malformed `out` is refused unwritten."""
+
+    @staticmethod
+    def _case(dtype, kernel, padding, two_inputs, stride=1, size=(7, 6)):
+        rng = np.random.default_rng(kernel * 10 + padding + two_inputs)
+        x = rng.standard_normal((2, 3) + size).astype(dtype)
+        x2 = rng.standard_normal((2, 3) + size).astype(dtype) if two_inputs else None
+        cin = 6 if two_inputs else 3
+        w = rng.standard_normal((3, cin, kernel, kernel)).astype(dtype)
+        b = rng.standard_normal(3).astype(dtype)
+        return x, x2, w, b, ConvSpec(cin, 3, kernel=kernel, stride=stride, padding=padding)
+
+    @pytest.mark.parametrize("chunk_bytes", [None, 1], ids=["whole", "one_row"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("kernel,padding", [(1, 0), (3, 1)])
+    @pytest.mark.parametrize("two_inputs", [False, True], ids=["x", "x_and_x2"])
+    def test_equals_the_fresh_output(self, monkeypatch, chunk_bytes, dtype, kernel, padding, two_inputs):
+        if chunk_bytes is not None:
+            monkeypatch.setattr(L, "_COL_CHUNK_BYTES", chunk_bytes)
+            assert L._chunk_rows(2, 6, kernel, 6) == 1
+        x, x2, w, b, spec = self._case(dtype, kernel, padding, two_inputs)
+        fresh = L.conv2d_forward(x, w, b, spec, x2=x2)
+        got = L.conv2d_forward(x, w, b, spec, x2=x2, out=x)
+        assert got is x
+        assert np.array_equal(got, fresh)
+
+    @staticmethod
+    def _refused(x, x2, w, b, spec, out, match):
+        arrays = [a for a in (x, x2, out) if a is not None]
+        before = [a.copy() for a in arrays]
+        with pytest.raises(ValidationError, match=match):
+            L.conv2d_forward(x, w, b, spec, x2=x2, out=out)
+        assert all(np.array_equal(a, e) for a, e in zip(arrays, before))
+
+    def test_padding_beyond_one_chunk_is_refused(self, monkeypatch):
+        # k=5, p=2 with one-row chunks: holding back one chunk would overwrite
+        # rows that the next chunk's band still reads.
+        monkeypatch.setattr(L, "_COL_CHUNK_BYTES", 1)
+        x, x2, w, b, spec = self._case(np.float64, 5, 2, False)
+        self._refused(x, x2, w, b, spec, x, "x itself")
+        monkeypatch.undo()  # one whole chunk: every input row is read before any store
+        fresh = L.conv2d_forward(x, w, b, spec)
+        assert np.array_equal(L.conv2d_forward(x, w, b, spec, out=x), fresh)
+
+    def test_stride_two_is_refused(self):
+        x, x2, w, b, spec = self._case(np.float64, 1, 0, False, stride=2, size=(1, 1))
+        assert spec.out_size(1, 1) == (1, 1)
+        self._refused(x, x2, w, b, spec, x, "x itself")
+
+    def test_another_view_of_x_is_refused(self):
+        x, x2, w, b, spec = self._case(np.float64, 3, 1, True)
+        self._refused(x, x2, w, b, spec, x[...], "overlaps no input")
+
+    def test_second_input_is_refused(self):
+        x, x2, w, b, spec = self._case(np.float64, 3, 1, True)
+        self._refused(x, x2, w, b, spec, x2, "overlaps no input")
+
+    @pytest.mark.parametrize("bad", ["not_c_contiguous", "shape", "dtype"])
+    def test_malformed_out_is_refused(self, bad):
+        x, x2, w, b, spec = self._case(np.float32, 3, 1, True)
+        out = {
+            "not_c_contiguous": np.full((2, 3, 7, 6, 2), 7.0, np.float32)[..., 0],
+            "shape": np.full((2, 3, 7, 5), 7.0, np.float32),
+            "dtype": np.full((2, 3, 7, 6), 7.0, np.float64),
+        }[bad]
+        self._refused(x, x2, w, b, spec, out, "C-contiguous")
+
+
 def reference_patches(x, k, stride, p, ho, wo):
     """The (N, C*k*k, ho*wo) patch matrix from an explicitly padded (or cropped) copy of x."""
     n, c, h, w = x.shape

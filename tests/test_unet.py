@@ -160,6 +160,22 @@ class TestForwardBackward:
         assert none is None
         assert np.array_equal(full, lean)
 
+    def test_forward_writes_only_into_arrays_it_created(self):
+        # enc0.conv1 maps 1 channel to 1 here, so a conv that wrote into any
+        # input of its output's shape would overwrite the caller's image.
+        cfg = mv.UNetConfig(depth=1, base_channels=1, input_size=16)
+        params = mv.build(cfg, seed=5)
+        batch = np.random.default_rng(4).random((2, 1, 16, 16))
+        image = batch.copy()
+        lean, _ = mv.forward(params, cfg, batch, want_cache=False)
+        assert np.array_equal(batch, image)
+        full, cache = mv.forward(params, cfg, batch)
+        assert np.array_equal(batch, image) and np.array_equal(full, lean)
+        arrays = list({id(a): a for stage in ("enc0", "bottleneck", "dec0") for a in cache[stage]}.values())
+        assert len(arrays) == 9  # each stage's input, a1 and a2; dec0's skip is enc0's a2
+        for i, a in enumerate(arrays):
+            assert not any(np.shares_memory(a, b) for b in arrays[i + 1 :])
+
     @pytest.mark.parametrize("depth, base, size", [(2, 8, 128), (3, 4, 128), (1, 8, 128)])
     def test_inference_forward_holds_only_live_arrays(self, monkeypatch, depth, base, size):
         """Decoder stage inputs die after conv1, ReLU runs in place and one patch buffer serves
