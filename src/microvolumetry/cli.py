@@ -1,8 +1,7 @@
 """Command-line frontend: gen, train, predict, evaluate, volumetry.
 
-Exit codes are a stable contract: 0 success, 2 argument/config error,
-3 I/O error, 4 data mismatch (malformed or inconsistent data files),
-5 numeric divergence during training.
+Exit codes are a stable contract: 0 is success, and `_EXIT_CODES` is the one
+table of the code each error exits with, after one `error:` line on stderr.
 """
 
 from __future__ import annotations
@@ -32,17 +31,27 @@ from .errors import (
     ValidationError,
 )
 from .metrics import (
+    _QUALITY_COLUMNS,
+    _quality_cells,
     calibrate_volume,
     confusion,
     count_class_pixels,
-    dice,
-    pixel_accuracy,
     read_reference,
     write_report,
 )
 from .tensor import NUM_CLASSES, argmax_channel
 from .train import parse_config, run_training
 from .unet import forward, load_checkpoint
+
+_EXIT_CODES = {
+    ValidationError: 2,  # an argument or config value
+    OSError: 3,  # I/O
+    DataMismatchError: 4, PgmFormatError: 4, CheckpointError: 4, ShapeError: 4,  # data files
+    DivergenceError: 5,  # numeric divergence in training
+}
+# Every line break that str.splitlines splits at, escaped so that an error prints as one line.
+_ONE_LINE = str.maketrans({c: c.encode("unicode_escape").decode("ascii")
+                           for c in "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"})
 
 
 def _mask_files(directory: Path) -> list[Path]:
@@ -136,28 +145,29 @@ def _refuse_out_over_input(out: str, inputs: list[Path]) -> None:
         raise ValidationError(f"--out {out} is an input file that the report would overwrite")
 
 
-def cmd_evaluate(args) -> int:
-    pairs = _paired_masks(Path(args.pred), Path(args.truth))
-    _refuse_out_over_input(args.out, [path for pair in pairs for path in pair])
+def _confusion_of(pairs: list[tuple[Path, Path]]) -> np.ndarray:
+    """Confusion summed over (predicted, truth) mask files; two masks of different
+    shapes are a DataMismatchError naming both files."""
     counts = np.zeros((NUM_CLASSES, NUM_CLASSES), dtype=np.int64)
     for pred_path, truth_path in pairs:
         pred, truth = read_mask(pred_path), read_mask(truth_path)
         if pred.shape != truth.shape:
-            raise DataMismatchError(
-                f"{pred_path} is {pred.shape}, {truth_path} is {truth.shape}"
-            )
+            raise DataMismatchError(f"{pred_path} is {pred.shape}, {truth_path} is {truth.shape}")
         counts += confusion(pred, truth)
-    acc = pixel_accuracy(counts)
-    dices = [dice(counts, k) for k in range(NUM_CLASSES)]
+    return counts
+
+
+def cmd_evaluate(args) -> int:
+    pairs = _paired_masks(Path(args.pred), Path(args.truth))
+    _refuse_out_over_input(args.out, [path for pair in pairs for path in pair])
+    counts = _confusion_of(pairs)
+    cells = _quality_cells(counts)
     print("confusion (rows true class, columns predicted):")
     for row in counts:
         print("  " + " ".join(f"{v:>12d}" for v in row))
-    print(f"accuracy: {acc:.6f}")
-    for k, d in enumerate(dices):
-        print(f"dice_{k}: {d:.6f}")
-    header = ",".join(["accuracy"] + [f"dice_{k}" for k in range(NUM_CLASSES)])
-    row = f"{acc:.6f}," + ",".join(f"{d:.6f}" for d in dices)
-    _write_atomic(args.out, [f"{header}\n{row}\n".encode("utf-8")])
+    for name, cell in zip(_QUALITY_COLUMNS, cells):
+        print(f"{name}: {cell}")
+    _write_atomic(args.out, [f"{','.join(_QUALITY_COLUMNS)}\n{','.join(cells)}\n".encode("utf-8")])
     print(f"metrics: {args.out}")
     return 0
 
@@ -170,16 +180,9 @@ def cmd_volumetry(args) -> int:
         pairs = _paired_masks(Path(args.pred), Path(args.truth))
     inputs = [Path(args.reference)] + [path for pair in pairs for path in pair if path is not None]
     _refuse_out_over_input(args.out, inputs)
-    pred_masks = [read_mask(p) for p, _ in pairs]
-    pixels_c = count_class_pixels(pred_masks, 1)
+    pixels_c = count_class_pixels((read_mask(p) for p, _ in pairs), 1)
     report = calibrate_volume(pixels_c, pixels_m, v_m)
-
-    counts = None
-    if args.truth is not None:
-        counts = np.zeros((NUM_CLASSES, NUM_CLASSES), dtype=np.int64)
-        for pred, (_, truth_path) in zip(pred_masks, pairs):
-            counts += confusion(pred, read_mask(truth_path))
-
+    counts = None if args.truth is None else _confusion_of(pairs)
     write_report(report, counts, args.out)
     print(f"bone pixels (predicted): {report.pixels_c}")
     print(f"bone pixels (reference): {report.pixels_m}")
@@ -203,13 +206,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, required=True, help="number of image/mask pairs")
     p.add_argument("--size", type=int, default=512, help="square image size in pixels")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--implant-radius", type=float, default=0.18,
+    p.add_argument("--implant-radius", type=float, default=PhantomSpec.implant_radius,
                    help="implant disk radius as a fraction of size")
-    p.add_argument("--bone-density", type=float, default=0.5,
+    p.add_argument("--bone-density", type=float, default=PhantomSpec.bone_density,
                    help="fraction of the annulus covered by bone")
-    p.add_argument("--noise-sigma", type=float, default=0.02,
+    p.add_argument("--noise-sigma", type=float, default=PhantomSpec.noise_sigma,
                    help="additive Gaussian noise level in [0,1] intensity units")
-    p.add_argument("--streaks", type=int, default=4, help="number of bright artifact streaks")
+    p.add_argument("--streaks", type=int, default=PhantomSpec.artifact_streaks,
+                   help="number of bright artifact streaks")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("train", help="train the network from a key=value config file")
@@ -247,18 +251,9 @@ def main(argv=None) -> int:
             if isinstance(value, str) and "\0" in value:
                 raise ValidationError(f"--{name.replace('_', '-')} holds a NUL byte")
         return args.func(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DataMismatchError, PgmFormatError, CheckpointError, ShapeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except DivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
+    except tuple(_EXIT_CODES) as exc:
+        print(f"error: {str(exc).translate(_ONE_LINE)}", file=sys.stderr)
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -307,6 +307,14 @@ def make_dataset(out_dir, count: int, template: PhantomSpec, seed: int = 0) -> l
     return pairs
 
 
+def _read_text(path, error) -> str:
+    """The UTF-8 text of `path`; bytes that are not UTF-8 raise `error` naming their offset."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def load_manifest(dataset_dir) -> list[tuple[Path, Path]]:
     """Resolve the manifest of a generated dataset into path pairs."""
     dataset_dir = Path(dataset_dir)
@@ -314,7 +322,7 @@ def load_manifest(dataset_dir) -> list[tuple[Path, Path]]:
     if not manifest.is_file():
         raise DataMismatchError(f"no {MANIFEST_NAME} in {dataset_dir}")
     pairs = []
-    for lineno, line in enumerate(manifest.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(manifest, DataMismatchError).splitlines(), start=1):
         if not line.strip():
             continue
         parts = line.split("\t")

@@ -1,8 +1,7 @@
 """Exception types shared across the package.
 
-The CLI maps these onto its exit-code contract: validation/config problems
-exit 2, OS-level I/O failures exit 3, data mismatches exit 4, numeric
-divergence exits 5.
+`cli._EXIT_CODES` maps these, ConsistencyError aside, and OSError onto the
+CLI's exit codes.
 """
 
 

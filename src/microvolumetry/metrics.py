@@ -11,11 +11,10 @@ pixel count and volume are both known:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .data import _write_atomic
+from .data import _read_text, _write_atomic
 from .errors import ShapeError, ValidationError
 from .tensor import NUM_CLASSES
 
@@ -93,7 +92,15 @@ def calibrate_volume(pixels_c: int, pixels_m: int, v_m: float) -> VolumetryRepor
     )
 
 
-REPORT_HEADER = "pixels_C,pixels_M,V_M,V_C,ratio,accuracy,dice_0,dice_1,dice_2"
+_QUALITY_COLUMNS = ["accuracy"] + [f"dice_{k}" for k in range(NUM_CLASSES)]
+REPORT_HEADER = ",".join(["pixels_C", "pixels_M", "V_M", "V_C", "ratio"] + _QUALITY_COLUMNS)
+
+
+def _quality_cells(counts: np.ndarray) -> list[str]:
+    """The `_QUALITY_COLUMNS` cells of a confusion matrix, as every output prints them."""
+    return [f"{pixel_accuracy(counts):.6f}"] + [
+        f"{dice(counts, k):.6f}" for k in range(NUM_CLASSES)
+    ]
 
 
 def write_report(rep: VolumetryReport, counts, path) -> None:
@@ -103,12 +110,7 @@ def write_report(rep: VolumetryReport, counts, path) -> None:
     cells are left empty. Metric computation happens before the file is
     touched, so an invalid confusion matrix leaves no partial file.
     """
-    if counts is None:
-        quality = ["", "", "", ""]
-    else:
-        quality = [f"{pixel_accuracy(counts):.6f}"] + [
-            f"{dice(counts, k):.6f}" for k in range(NUM_CLASSES)
-        ]
+    quality = [""] * len(_QUALITY_COLUMNS) if counts is None else _quality_cells(counts)
     row = [
         str(rep.pixels_c), str(rep.pixels_m),
         f"{rep.v_m:.6f}", f"{rep.v_c:.6f}", f"{rep.ratio:.6f}",
@@ -118,12 +120,8 @@ def write_report(rep: VolumetryReport, counts, path) -> None:
 
 def read_reference(path) -> tuple[int, float]:
     """Parse the reference-software export: pixels_M=<int>, V_M_mm3=<decimal>."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     values: dict[str, str] = {}
-    for line in text.splitlines():
+    for line in _read_text(path, ValidationError).splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -17,6 +17,7 @@ import numpy as np
 from .data import (
     DatasetSplit,
     _read_image,
+    _read_text,
     _write_atomic,
     encode_one_hot,
     load_manifest,
@@ -88,12 +89,8 @@ def _coerce(key: str, raw: str):
 def parse_config(path) -> RunConfig:
     """Read a flat key = value config; unknown or duplicate keys are errors."""
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     seen: dict[str, object] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(path, ValidationError).splitlines(), start=1):
         line = line.partition("#")[0].strip()
         if not line:
             continue

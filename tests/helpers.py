@@ -291,6 +291,8 @@ HUGE_DEPTH_CHECKPOINT = overwrite(checkpoint_bytes(), CKPT_DEPTH_AT, struct.pack
 NON_UTF8_NAME_CHECKPOINT = overwrite(checkpoint_bytes(), CKPT_FIRST_NAME_AT, b"\xff")
 # Latin-1 e-acute in a comment: raised UnicodeDecodeError
 NON_UTF8_CONFIG = b"dataset = d\n# caf\xe9\nepochs = 1\n"
+# 0xff after the first pair, at byte 49: raised UnicodeDecodeError out of train and predict
+NON_UTF8_MANIFEST = b"images/phantom_00000.pgm\tmasks/phantom_00000.pgm\n\xff\n"
 # NaN as the payload's last float64 (in head.b): loaded, and predict wrote an all-background mask
 NAN_PAYLOAD_CHECKPOINT = checkpoint_bytes()[:-8] + struct.pack("<d", float("nan"))
 # a valid 8-bit image, which reads as near-black if scaled as 16-bit

@@ -15,7 +15,13 @@ import microvolumetry.cli as cli
 import microvolumetry.train as train_mod
 from microvolumetry.cli import main
 
-from helpers import EIGHT_BIT_IMAGE, HUGE_DEPTH_CHECKPOINT, NON_UTF8_CONFIG, write_config
+from helpers import (
+    EIGHT_BIT_IMAGE,
+    HUGE_DEPTH_CHECKPOINT,
+    NON_UTF8_CONFIG,
+    NON_UTF8_MANIFEST,
+    write_config,
+)
 
 
 def gen_args(out, count=4, size=16, seed=3):
@@ -27,6 +33,20 @@ def gen_args(out, count=4, size=16, seed=3):
 
 def unreachable(*args):
     raise AssertionError(f"called with {args}")
+
+
+def error_line(capsys) -> str:
+    """The one line that a failed command printed to stderr."""
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    return err[0]
+
+
+def non_utf8_manifest_copy(data, out):
+    """A copy of the dataset `data` whose manifest is not UTF-8."""
+    shutil.copytree(data, out)
+    (out / "manifest.txt").write_bytes(NON_UTF8_MANIFEST)
+    return out
 
 
 def renamed_copy(masks, out):
@@ -120,6 +140,19 @@ class TestTrain:
         cfg.write_bytes(NON_UTF8_CONFIG)
         assert main(["train", "--config", str(cfg)]) == 2
         assert "not UTF-8" in capsys.readouterr().err
+
+    def test_non_utf8_manifest_exits_4_and_writes_nothing(self, trained, tmp_path, capsys):
+        # raised UnicodeDecodeError out of main
+        data = non_utf8_manifest_copy(trained / "data", tmp_path / "data")
+        cfg = write_config(
+            tmp_path / "run.cfg", dataset=str(data),
+            checkpoint=str(tmp_path / "model.ckpt"), metrics=str(tmp_path / "metrics.csv"),
+            depth=1, base_channels=2, input_size=16, epochs=1,
+        )
+        assert main(["train", "--config", str(cfg)]) == 4
+        err = error_line(capsys)
+        assert "manifest.txt" in err and "at byte 49" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "run.cfg"]
 
     def test_negative_seed_exits_2_and_writes_nothing(self, trained, tmp_path, capsys):
         cfg = write_config(
@@ -215,6 +248,17 @@ class TestPredict:
         err = capsys.readouterr().err
         assert "scan8.pgm" in err and "maxval 255" in err
         assert not list((tmp_path / "pred").glob("*.pgm"))
+
+    def test_non_utf8_manifest_exits_4_and_writes_no_mask(self, trained, tmp_path, capsys):
+        # raised UnicodeDecodeError out of main
+        data = non_utf8_manifest_copy(trained / "data", tmp_path / "data")
+        out = tmp_path / "pred"
+        code = main(["predict", "--checkpoint", str(trained / "model.ckpt"),
+                     "--images", str(data), "--out", str(out)])
+        assert code == 4
+        err = error_line(capsys)
+        assert "manifest.txt" in err and "at byte 49" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("images, out", [("", "masks"), ("", "images"), ("images", "images")])
     def test_out_holding_an_input_exits_2_and_writes_nothing(self, trained, tmp_path, capsys,
@@ -348,6 +392,17 @@ class TestEvaluate:
         assert "input file" in capsys.readouterr().err
         assert victim.read_bytes() == before
 
+    # "\n" printed a second line, `error: b`
+    @pytest.mark.parametrize("brk", ["\n", "\r", "\u2028"], ids=["lf", "cr", "line-separator"])
+    def test_line_break_in_a_path_keeps_the_error_on_one_line(self, trained, tmp_path, capsys,
+                                                                brk):
+        code = main(["evaluate", "--pred", f"a{brk}error: b",
+                     "--truth", str(trained / "data" / "masks"),
+                     "--out", str(tmp_path / "eval.csv")])
+        assert code == 4
+        error_line(capsys)
+        assert not (tmp_path / "eval.csv").exists()
+
     def test_empty_pred_dir_exits_4(self, trained, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -413,6 +468,21 @@ class TestVolumetry:
                      "--reference", str(ref), "--out", str(tmp_path / "vol.csv")])
         assert code == 4
         assert "phantom_00000.pgm" in capsys.readouterr().err
+
+    def test_truth_of_another_shape_exits_4_naming_both_files(self, tmp_path, capsys):
+        # raised ShapeError "pred stack ... != truth stack ...", which named neither file
+        pred, truth = tmp_path / "pred", tmp_path / "truth"
+        for directory, size in ((pred, 16), (truth, 32)):
+            directory.mkdir()
+            mv.write_pgm(np.zeros((size, size), dtype=np.uint8), directory / "m.pgm")
+        ref = write_reference(tmp_path / "ref.txt", pixels=1000, volume="10.0")
+        out = tmp_path / "vol.csv"
+        code = main(["volumetry", "--pred", str(pred), "--truth", str(truth),
+                     "--reference", str(ref), "--out", str(out)])
+        assert code == 4
+        err = error_line(capsys)
+        assert str(pred / "m.pgm") in err and str(truth / "m.pgm") in err
+        assert not out.exists()
 
     def test_truth_same_directory_as_pred_exits_2_before_reading_a_mask(self, trained, tmp_path,
                                                                         capsys, monkeypatch):

@@ -1,8 +1,9 @@
-"""Fuzz the parsers of untrusted files (read_pgm, load_checkpoint, parse_config) and the CLI.
+"""Fuzz the parsers of untrusted files (read_pgm, load_checkpoint, parse_config, load_manifest)
+and the CLI.
 
 Whatever the bytes, each parser either returns or raises its own named
-error (PgmFormatError, CheckpointError, ValidationError), which the CLI maps
-to an exit code. Inputs are raw bytes, valid files with a few bytes
+error (PgmFormatError, CheckpointError, ValidationError, DataMismatchError),
+which the CLI maps to an exit code. Inputs are raw bytes, valid files with a few bytes
 overwritten, inserted or cut, and files whose header fields are replaced by
 arbitrary 32-bit values. The CLI target calls `main` with the parser's own
 subcommands and flags and junk values, and checks the exit-code contract.
@@ -25,13 +26,19 @@ from hypothesis import strategies as st
 import microvolumetry as mv
 from microvolumetry.cli import build_parser, main
 from microvolumetry.data import MAXVAL
-from microvolumetry.errors import CheckpointError, PgmFormatError, ValidationError
+from microvolumetry.errors import (
+    CheckpointError,
+    DataMismatchError,
+    PgmFormatError,
+    ValidationError,
+)
 
 from helpers import (
     EIGHT_BIT_IMAGE,
     HUGE_DEPTH_CHECKPOINT,
     NAN_PAYLOAD_CHECKPOINT,
     NON_UTF8_CONFIG,
+    NON_UTF8_MANIFEST,
     NON_UTF8_NAME_CHECKPOINT,
     checkpoint_bytes,
     tiny_dataset,
@@ -52,6 +59,8 @@ VALID_CONFIG = (
     b"dataset = data\ndepth = 2\nbase_channels = 4\ninput_size = 16\n"
     b"epochs = 3 # short\nlr = 0.001\nseed = 7\nsplit = 0.2\n"
 )
+VALID_MANIFEST = (b"images/phantom_00000.pgm\tmasks/phantom_00000.pgm\n"
+                  b"images/phantom_00001.pgm\tmasks/phantom_00001.pgm\n")
 U32_EDGES = [0, 1, 2, 3, 31, 32, 33, 2**16, 2**31 - 1, 2**31, 2**32 - 1, 0xF998E147]
 
 
@@ -157,11 +166,31 @@ def test_parse_config_raises_only_validation_error(scratch, blob):
     assert cfg.dataset
 
 
+@pytest.fixture(scope="module")
+def manifest_dataset(scratch):
+    """A two-pair dataset whose files VALID_MANIFEST lists."""
+    tiny_dataset(scratch / "manifest", count=2)
+    return scratch / "manifest"
+
+
+@FUZZ
+@given(blob=st.one_of(st.binary(max_size=64), mutated(VALID_MANIFEST)))
+@example(blob=VALID_MANIFEST)
+@example(blob=NON_UTF8_MANIFEST)
+def test_load_manifest_raises_only_data_mismatch_error(manifest_dataset, blob):
+    (manifest_dataset / "manifest.txt").write_bytes(blob)
+    try:
+        pairs = mv.load_manifest(manifest_dataset)
+    except (DataMismatchError, OSError):  # Path.is_file raises ENAMETOOLONG on an over-long name
+        return
+    assert pairs and all(image.is_file() and mask.is_file() for image, mask in pairs)
+
+
 # Names in the CLI target's working directory, made by `cli_root`, plus some that do not exist.
 CLI_PATHS = [
     "data", "data/images", "data/masks", "data/manifest.txt", "data/images/phantom_00000.pgm",
     "pred", "model.ckpt", "run.cfg", "bad.cfg", "ref.txt", "junk.bin", "empty", "missing",
-    "missing/x", "out", "out.csv", "", ".", "..",
+    "missing/x", "out", "out.csv", "", ".", "..", "bad_manifest",
 ]
 # The path each flag usually names, so that most examples get past the first check.
 CLI_GOOD_PATHS = {"out": "out", "config": "run.cfg", "checkpoint": "model.ckpt", "images": "data",
@@ -221,6 +250,8 @@ def cli_root(tmp_path_factory):
     (root / "ref.txt").write_text("pixels_M=120\nV_M_mm3=2.5\n")
     (root / "junk.bin").write_bytes(b"\xff\xfe\x00 pixels_M=1\n")
     (root / "empty").mkdir()
+    shutil.copytree(root / "data", root / "bad_manifest")
+    (root / "bad_manifest" / "manifest.txt").write_bytes(NON_UTF8_MANIFEST)
     return root
 
 
@@ -233,28 +264,33 @@ def listing(directory: Path) -> dict:
 @example(argv=["evaluate", "--pred", "pred", "--truth", "data/masks", "--out", "out.csv"])
 @example(argv=["volumetry", "--pred", "pred", "--reference", "junk.bin"])  # UnicodeDecodeError
 @example(argv=["predict", "--checkpoint", "model.ckpt", "--images", "data", "--out", "o\0"])  # ValueError
+@example(argv=["predict", "--checkpoint", "model.ckpt", "--images", "bad_manifest",
+               "--out", "out"])  # UnicodeDecodeError
+@example(argv=["evaluate", "--pred", "a\nerror: b", "--truth", "data/masks"])  # two error lines
 def test_cli_keeps_its_exit_code_contract(cli_root, argv):
-    """Every exit is 0, 2, 3, 4 or 5, and a failure prints one `error:` line. Each example runs in
-    a fresh copy of `cli_root` two levels inside pytest's base temp dir, so `..` stays inside it,
-    and nothing may change beside that dir or in the starting directory. argparse exits through
-    SystemExit (2 for a usage error), which is read as the exit code."""
+    """Every exit is 0, 2, 3, 4 or 5, and a failure prints one `error:` line, which is all that
+    stderr holds when main itself returns the code. Each example runs in a fresh copy of
+    `cli_root` two levels inside pytest's base temp dir, so `..` stays inside it, and nothing may
+    change beside that dir or in the starting directory. argparse exits through SystemExit (2 for
+    a usage error), which is read as the exit code."""
     base = cli_root.parent  # pytest's base temp dir
     work = base / "cli_work" / "run"
     shutil.rmtree(work.parent, ignore_errors=True)
     shutil.copytree(cli_root, work)
     outside = [base.parent, Path.cwd()]
     before = [listing(d) for d in outside]
-    err, cwd = io.StringIO(), os.getcwd()
+    err, cwd, exited = io.StringIO(), os.getcwd(), False
     os.chdir(work)
     try:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             try:
                 code = main(argv)
             except SystemExit as exc:
-                code = exc.code
+                code, exited = exc.code, True
     finally:
         os.chdir(cwd)
     assert code in (0, 2, 3, 4, 5), (argv, code)
     if code:
         assert sum("error:" in line for line in err.getvalue().splitlines()) == 1, err.getvalue()
+        assert exited or len(err.getvalue().splitlines()) == 1, err.getvalue()
     assert [listing(d) for d in outside] == before
