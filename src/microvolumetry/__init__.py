@@ -7,6 +7,8 @@ and volume calibration from pixel counts against a reference segmentation.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .data import (
     DatasetSplit,
     PhantomSpec,
@@ -61,55 +63,6 @@ from .unet import (
     save_checkpoint,
 )
 
-__all__ = [
-    "AdamState",
-    "ConvSpec",
-    "DatasetSplit",
-    "PhantomSpec",
-    "RunConfig",
-    "TrainingResult",
-    "UNetConfig",
-    "VolumetryReport",
-    "adam_step",
-    "argmax_channel",
-    "backward",
-    "build",
-    "calibrate_volume",
-    "categorical_cross_entropy",
-    "confusion",
-    "conv2d_backward",
-    "conv2d_forward",
-    "conv2d_forward_naive",
-    "count_class_pixels",
-    "dice",
-    "encode_one_hot",
-    "forward",
-    "generate_phantom",
-    "gradient_check",
-    "image_to_tensor",
-    "init_adam",
-    "load_checkpoint",
-    "load_manifest",
-    "make_dataset",
-    "maxpool2_backward",
-    "maxpool2_forward",
-    "parameter_count",
-    "parse_config",
-    "pixel_accuracy",
-    "read_mask",
-    "read_pgm",
-    "read_reference",
-    "relu",
-    "relu_backward",
-    "run_training",
-    "save_checkpoint",
-    "sigmoid",
-    "sigmoid_backward",
-    "softmax_channel",
-    "softmax_channel_backward",
-    "split_dataset",
-    "tconv2_backward",
-    "tconv2_forward",
-    "write_pgm",
-    "write_report",
-]
+# The public names are the imports above: every global that is neither underscored nor a module.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -45,7 +45,7 @@ from .unet import forward, load_checkpoint
 
 _EXIT_CODES = {
     ValidationError: 2,  # an argument or config value
-    OSError: 3,  # I/O
+    OSError: 3, MemoryError: 3,  # I/O, or a request the machine cannot hold
     DataMismatchError: 4, PgmFormatError: 4, CheckpointError: 4, ShapeError: 4,  # data files
     DivergenceError: 5,  # numeric divergence in training
 }

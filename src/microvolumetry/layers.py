@@ -15,7 +15,8 @@ every bit equals the conv over the concatenation. `_correlate` holds back each
 chunk's GEMM result until the next chunk's band has copied its input rows, so a
 conv may write its output into x itself, at stride 1 with padding at most one
 chunk's rows. Max pooling keeps no argmax: its backward recomputes each window's
-argmax from the pool input, which a training cache holds anyway.
+argmax from the pool input, which a training cache holds anyway. The 2x2, stride-2
+tconv is a 1x1 conv to O*2*2 channels plus depth-to-space: each pass, one GEMM per image.
 
 Arrays are laid out (batch, channels, height, width). Every kernel returns
 the dtype of its input: training runs in float64, `predict` in float32.
@@ -293,35 +294,34 @@ def _check_tconv_args(x, weights, bias) -> Shape4:
 def tconv2_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Transposed convolution, kernel 2, stride 2: exact 2x upsampling.
 
-    out[b,o,2y+dy,2x+dx] = sum_c x[b,c,y,x] * weights[c,o,dy,dx] + bias[o];
-    stride equals kernel size, so contributions never overlap. Chunks of input
-    rows, sized as `_chunk_rows` sizes O*2*2 patch rows, fill one output.
+    out[b,o,2y+dy,2x+dx] = sum_c x[b,c,y,x] * weights[c,o,dy,dx] + bias[o]: a 1x1 conv to O*2*2
+    channels, then depth-to-space. Each chunk of input rows, sized as `_chunk_rows` sizes O*2*2
+    patch rows, is one GEMM per image, (O*2*2, C) @ (C, rows*W), stored into the output in place.
     """
-    s = _check_tconv_args(x, weights, bias)
+    n, c, h, w = _check_tconv_args(x, weights, bias)
     o = weights.shape[1]
-    out = np.empty((s.batch, o, 2 * s.height, 2 * s.width), dtype=x.dtype)
-    out6 = out.reshape(s.batch, o, s.height, 2, s.width, 2)
-    step = min(_chunk_rows(s.batch, o, 2, s.width), s.height)
-    for r0 in range(0, s.height, step):
-        t = np.tensordot(x[:, :, r0 : r0 + step], weights, axes=(1, 0))  # (N, rows, W, O, 2, 2)
-        out6[:, :, r0 : r0 + step] = t.transpose(0, 3, 1, 4, 2, 5)
+    out = np.empty((n, o, 2 * h, 2 * w), dtype=x.dtype)
+    out6 = out.reshape(n, o, h, 2, w, 2)
+    wmat = weights.reshape(c, 4 * o).T
+    step = min(_chunk_rows(n, o, 2, w), h)
+    for r0 in range(0, h, step):
+        prod = wmat @ x[:, :, r0 : r0 + step].reshape(n, c, -1)  # (N, O*2*2, rows*W)
+        out6[:, :, r0 : r0 + step] = prod.reshape(n, o, 2, 2, -1, w).transpose(0, 1, 4, 2, 5, 3)
     out += bias.reshape(1, -1, 1, 1)
     return out
 
 
 def tconv2_backward(x: np.ndarray, weights: np.ndarray, d_output: np.ndarray) -> LayerGrad:
-    """Exact gradients of tconv2_forward."""
-    s = _check_tconv_args(x, weights, None)
-    out_ch = weights.shape[1]
-    if d_output.shape != (s.batch, out_ch, 2 * s.height, 2 * s.width):
-        raise ShapeError(
-            f"d_output shape {d_output.shape} != {(s.batch, out_ch, 2 * s.height, 2 * s.width)}"
-        )
-    d6 = d_output.reshape(s.batch, out_ch, s.height, 2, s.width, 2).transpose(0, 2, 4, 1, 3, 5)
-    d_x = np.tensordot(d6, weights, axes=([3, 4, 5], [1, 2, 3])).transpose(0, 3, 1, 2)
-    d_w = np.tensordot(x, d6, axes=([0, 2, 3], [0, 1, 2]))
-    d_bias = d_output.sum(axis=(0, 2, 3))
-    return LayerGrad(np.ascontiguousarray(d_x), d_w, d_bias)
+    """Exact gradients of tconv2_forward, the 1x1 conv's: with d4 the space-to-depth of d_output,
+    (N, O*2*2, H*W), d_input = weights (C, O*2*2) @ d4 and d_weights = sum_b x[b] @ d4[b].T."""
+    n, c, h, w = _check_tconv_args(x, weights, None)
+    o = weights.shape[1]
+    if d_output.shape != (n, o, 2 * h, 2 * w):
+        raise ShapeError(f"d_output shape {d_output.shape} != {(n, o, 2 * h, 2 * w)}")
+    d4 = d_output.reshape(n, o, h, 2, w, 2).transpose(0, 1, 3, 5, 2, 4).reshape(n, 4 * o, h * w)
+    d_x = weights.reshape(c, 4 * o) @ d4
+    d_w = sum(x[b].reshape(c, -1) @ d4[b].T for b in range(n))
+    return LayerGrad(d_x.reshape(x.shape), d_w.reshape(weights.shape), d_output.sum(axis=(0, 2, 3)))
 
 
 def relu(x: np.ndarray) -> np.ndarray:

@@ -28,15 +28,10 @@ class AdamState:
     epsilon: float = 1e-8
 
 
-def init_adam(
-    params: ParamTree,
-    lr: float = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    epsilon: float = 1e-8,
-) -> AdamState:
+def init_adam(params: ParamTree, **hyper: float) -> AdamState:
+    """Zero moments for `params`; `hyper` may set lr, beta1, beta2 and epsilon, else AdamState's defaults."""
     zeros = lambda: {k: tuple(np.zeros_like(a) for a in t) for k, t in params.items()}
-    return AdamState(m=zeros(), v=zeros(), lr=lr, beta1=beta1, beta2=beta2, epsilon=epsilon)
+    return AdamState(m=zeros(), v=zeros(), **hyper)
 
 
 def _check_tree(params: ParamTree, other: ParamTree, what: str) -> None:

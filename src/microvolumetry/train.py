@@ -27,7 +27,7 @@ from .data import (
 from .errors import DataMismatchError, DivergenceError, ValidationError
 from .layers import categorical_cross_entropy
 from .metrics import confusion
-from .optim import adam_step, init_adam
+from .optim import AdamState, adam_step, init_adam
 from .tensor import NUM_CLASSES, argmax_channel
 from .unet import UNetConfig, backward, build, forward, save_checkpoint
 
@@ -43,10 +43,10 @@ class RunConfig(UNetConfig):
     metrics: str = "metrics.csv"
     epochs: int = 50
     batch_size: int = 2
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
+    lr: float = AdamState.lr
+    beta1: float = AdamState.beta1
+    beta2: float = AdamState.beta2
+    epsilon: float = AdamState.epsilon
     seed: int = 0
     split: str = "paper_95_5"
 

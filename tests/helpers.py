@@ -156,12 +156,14 @@ def conv_backward_reference(x, weights, padding, d_output):
     return d_x, d_w, d_output.sum(axis=(0, 2, 3))
 
 
-def tconv_gradient_error(seed: int) -> float:
+def tconv_gradient_error(seed: int, shape=(2, 4, 5, 5), out_channels: int = 2) -> float:
+    """Gradient check of the tconv on an x of `shape`; a non-square one tells H from W."""
+    n, c, height, width = shape
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((2, 4, 5, 5))
-    w = rng.standard_normal((4, 2, 2, 2)) * 0.5
-    b = rng.standard_normal(2)
-    r = rng.standard_normal((2, 2, 10, 10))
+    x = rng.standard_normal(shape)
+    w = rng.standard_normal((c, out_channels, 2, 2)) * 0.5
+    b = rng.standard_normal(out_channels)
+    r = rng.standard_normal((n, out_channels, 2 * height, 2 * width))
 
     def fn(arrs):
         xx, ww, bb = arrs

@@ -1,11 +1,16 @@
 """End-to-end command tests driving cli.main() in process.
 
-One subprocess test checks the installed console script; everything else
-calls main() directly so coverage and monkeypatching work normally.
+Two subprocess tests run the command outside this process: one the installed
+console script, one under an address-space limit. Everything else calls main()
+directly so coverage and monkeypatching work normally.
 """
 
+import os
+import resource
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -109,6 +114,24 @@ class TestGen:
         assert main(gen_args(tmp_path / "d", seed=-1)) == 2
         assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
         assert not (tmp_path / "d").exists()
+
+
+    def test_request_the_machine_cannot_hold_exits_3_and_writes_no_file(self, tmp_path):
+        # a 100000 x 100000 phantom: its np.mgrid alone asks for 149 GiB, which the
+        # 3 GiB address-space limit refuses before any page is touched
+        limit = 3 * 2**30
+        env = dict(os.environ, PYTHONPATH=str(Path(mv.__file__).parents[1]),
+                   OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        out = tmp_path / "d"
+        proc = subprocess.run(
+            [sys.executable, "-m", "microvolumetry.cli", *gen_args(out, count=1, size=100000)],
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 3, proc.stderr
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert not [p for p in out.rglob("*") if p.is_file()]
 
 
 class TestTrain:

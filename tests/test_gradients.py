@@ -42,6 +42,7 @@ def test_conv2d_no_padding(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_tconv2(seed):
     assert tconv_gradient_error(seed) < LAYER_TOL
+    assert tconv_gradient_error(seed, shape=(2, 3, 3, 5), out_channels=4) < LAYER_TOL
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -22,6 +22,9 @@ Rows:
   (2, 3, 11, 9) inputs, once whole and once with every output row in a
   chunk of its own; backward rows (stride 1 only) hash d_input, d_weights
   and d_bias, and p > k-1 makes d_input crop.
+- tconv.{dtype}.{forward,backward}: the 2x2, stride-2 transposed conv of a
+  (2, 3, 5, 7) input to 4 channels, once whole and once with every input
+  row in a chunk of its own; backward rows hash d_input, d_weights and d_bias.
 - pool.{dtype}.{forward,backward}: 2x2 max pooling of (2, 5, 16, 16)
   ReLU'd normals with 3- and 4-way ties, two NaNs and 0.0/-0.0 pairs.
 """
@@ -87,8 +90,16 @@ def paper_rows(tmp: Path):
     yield "paper.predict_mask", file_digest(masks / "slice.pgm")
 
 
-def conv_rows():
+def chunkings():
+    """Run the loop body with the default row chunks, then with every row a chunk of its own."""
     whole_chunk_bytes = layers._COL_CHUNK_BYTES
+    for chunk_bytes in (whole_chunk_bytes, 1):
+        layers._COL_CHUNK_BYTES = chunk_bytes
+        yield
+    layers._COL_CHUNK_BYTES = whole_chunk_bytes
+
+
+def conv_rows():
     for k, stride, p in CONV_GEOMETRIES:
         spec = mv.ConvSpec(3, 4, kernel=k, stride=stride, padding=p)
         rng = np.random.default_rng([k, stride, p])
@@ -100,16 +111,31 @@ def conv_rows():
         for dtype in DTYPES:
             xd, wd, bd, dd = (a.astype(dtype) for a in (x, w, b, d))
             fwd, bwd = [], []
-            for chunk_bytes in (whole_chunk_bytes, 1):  # 1: every output row is its own chunk
-                layers._COL_CHUNK_BYTES = chunk_bytes
+            for _ in chunkings():
                 fwd.append(mv.conv2d_forward(xd, wd, bd, spec))
                 if stride == 1:
                     bwd.extend(mv.conv2d_backward(xd, wd, spec, dd))
-            layers._COL_CHUNK_BYTES = whole_chunk_bytes
             name = f"conv.k{k}.s{stride}.p{p}.{np.dtype(dtype).name}"
             yield f"{name}.forward", digest(*fwd)
             if bwd:
                 yield f"{name}.backward", digest(*bwd)
+
+
+def tconv_rows():
+    rng = np.random.default_rng(2)
+    x = rng.standard_normal((2, 3, 5, 7))
+    w = rng.standard_normal((3, 4, 2, 2))
+    b = rng.standard_normal(4)
+    d = rng.standard_normal((2, 4, 10, 14))
+    for dtype in DTYPES:
+        xd, wd, bd, dd = (a.astype(dtype) for a in (x, w, b, d))
+        fwd, bwd = [], []
+        for _ in chunkings():
+            fwd.append(mv.tconv2_forward(xd, wd, bd))
+            bwd.extend(mv.tconv2_backward(xd, wd, dd))
+        name = f"tconv.{np.dtype(dtype).name}"
+        yield f"{name}.forward", digest(*fwd)
+        yield f"{name}.backward", digest(*bwd)
 
 
 def pool_input() -> np.ndarray:
@@ -136,7 +162,8 @@ def pool_rows():
 def main() -> int:
     print(f"package: {Path(mv.__file__).parent}", file=sys.stderr)
     with tempfile.TemporaryDirectory() as tmp:
-        for rows in (train_rows(Path(tmp)), paper_rows(Path(tmp)), conv_rows(), pool_rows()):
+        for rows in (train_rows(Path(tmp)), paper_rows(Path(tmp)), conv_rows(), tconv_rows(),
+                     pool_rows()):
             for name, sha in rows:
                 print(f"{sha}  {name}", flush=True)
     return 0
