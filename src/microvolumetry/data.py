@@ -290,13 +290,14 @@ def make_dataset(out_dir, count: int, template: PhantomSpec, seed: int = 0) -> l
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
     out_dir = Path(out_dir)
-    os.makedirs(out_dir / "images", exist_ok=True)
-    os.makedirs(out_dir / "masks", exist_ok=True)
     pairs: list[tuple[Path, Path]] = []
     lines: list[str] = []
     for i in range(count):
         item_seed = int(np.random.SeedSequence([seed, i]).generate_state(1)[0])
         image, mask = generate_phantom(replace(template, seed=item_seed))
+        if i == 0:  # only now, so a gen that fails on its first phantom leaves no directory
+            os.makedirs(out_dir / "images", exist_ok=True)
+            os.makedirs(out_dir / "masks", exist_ok=True)
         rel_img = f"images/phantom_{i:05d}.pgm"
         rel_mask = f"masks/phantom_{i:05d}.pgm"
         write_pgm(image, out_dir / rel_img)

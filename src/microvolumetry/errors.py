@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-`cli._EXIT_CODES` maps these, ConsistencyError aside, and OSError onto the
-CLI's exit codes.
+`cli._EXIT_CODES` maps these, ConsistencyError aside, onto the CLI's exit
+codes, and maps OSError and MemoryError to 3.
 """
 
 

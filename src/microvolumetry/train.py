@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 
 from .data import (
-    DatasetSplit,
     _read_image,
     _read_text,
     _write_atomic,
@@ -26,7 +25,7 @@ from .data import (
 )
 from .errors import DataMismatchError, DivergenceError, ValidationError
 from .layers import categorical_cross_entropy
-from .metrics import confusion
+from .metrics import confusion, pixel_accuracy
 from .optim import AdamState, adam_step, init_adam
 from .tensor import NUM_CLASSES, argmax_channel
 from .unet import UNetConfig, backward, build, forward, save_checkpoint
@@ -123,43 +122,41 @@ class TrainingResult:
 
 
 def _load_items(pairs, input_size: int):
-    """Read every (image, mask) pair into memory, checking sizes up front."""
-    items = []
-    for img_path, mask_path in pairs:
-        image = _read_image(img_path, input_size)[0, 0]
+    """Read every (image, mask) pair into one image array and one mask array, checking sizes up front."""
+    images = np.empty((len(pairs), 1, input_size, input_size))
+    masks = np.empty((len(pairs), input_size, input_size), dtype=np.uint8)
+    for i, (img_path, mask_path) in enumerate(pairs):
+        images[i] = _read_image(img_path, input_size)[0]
         mask = read_mask(mask_path)
-        if mask.shape != image.shape:
-            raise DataMismatchError(f"{mask_path}: mask shape {mask.shape} != image {image.shape}")
-        items.append((image, mask))
-    return items
+        if mask.shape != masks.shape[1:]:
+            raise DataMismatchError(f"{mask_path}: mask shape {mask.shape} != image {masks.shape[1:]}")
+        masks[i] = mask
+    return images, masks
 
 
-def _batches(indices, batch_size: int):
-    for start in range(0, len(indices), batch_size):
-        yield indices[start : start + batch_size]
+def _pass(params, net_cfg, images, masks, order, batch_size, what, state=None):
+    """Walk `order` in batches: mean per-pixel loss, pixel accuracy and confusion.
 
-
-def _make_batch(items, idx):
-    x = np.stack([items[i][0] for i in idx])[:, None, :, :]
-    masks = np.stack([items[i][1] for i in idx])
-    target = np.concatenate([encode_one_hot(m) for m in masks])
-    return x, target, masks
-
-
-def _evaluate(params, net_cfg, items, indices, batch_size):
-    """Mean per-pixel loss and accuracy plus a confusion matrix, no caching."""
-    loss_sum, pixel_total = 0.0, 0
+    With an Adam state every batch is also a training step. A non-finite batch
+    loss raises DivergenceError naming `what`.
+    """
+    loss_sum = 0.0
     counts = np.zeros((NUM_CLASSES, NUM_CLASSES), dtype=np.int64)
-    for idx in _batches(indices, batch_size):
-        x, target, masks = _make_batch(items, idx)
-        out, _ = forward(params, net_cfg, x, want_cache=False)
-        loss, _ = categorical_cross_entropy(out, target)
-        n_pix = masks.size
-        loss_sum += loss * n_pix
-        pixel_total += n_pix
-        counts += confusion(argmax_channel(out), masks)
-    acc = float(np.trace(counts)) / pixel_total
-    return loss_sum / pixel_total, acc, counts
+    for start in range(0, len(order), batch_size):
+        idx = order[start : start + batch_size]
+        x, truth = images[idx], masks[idx]
+        target = np.concatenate([encode_one_hot(m) for m in truth])
+        out, cache = forward(params, net_cfg, x, want_cache=state is not None)
+        loss, d_out = categorical_cross_entropy(out, target)
+        if not np.isfinite(loss):
+            raise DivergenceError(f"non-finite {what}")
+        loss_sum += loss * truth.size
+        counts += confusion(argmax_channel(out), truth)
+        if state is not None:
+            # named so the gradients live until the next backward; freed at once, they tripled the step's page faults
+            grads = backward(params, net_cfg, cache, d_out)
+            adam_step(params, grads, state)
+    return loss_sum / int(counts.sum()), pixel_accuracy(counts), counts
 
 
 def run_training(config: RunConfig, log=None) -> TrainingResult:
@@ -168,9 +165,8 @@ def run_training(config: RunConfig, log=None) -> TrainingResult:
     Raises DivergenceError at the first non-finite loss, with every finished epoch's row on disk.
     """
     say = log if log is not None else lambda *_: None
-    pairs = load_manifest(config.dataset)
-    items = _load_items(pairs, config.input_size)
-    split: DatasetSplit = split_dataset(list(range(len(items))), config.split, config.seed)
+    images, masks = _load_items(load_manifest(config.dataset), config.input_size)
+    split = split_dataset(list(range(len(images))), config.split, config.seed)
     say(f"dataset: {len(split.train)} training / {len(split.validation)} validation pairs")
 
     net_cfg = config.unet()
@@ -181,28 +177,11 @@ def run_training(config: RunConfig, log=None) -> TrainingResult:
     metrics_path = Path(config.metrics)
     rows = []
     for epoch in range(1, config.epochs + 1):
-        order = np.random.default_rng(config.seed + epoch).permutation(len(split.train))
-        loss_sum, hit_sum, pixel_total = 0.0, 0, 0
-        for idx in _batches([split.train[i] for i in order], config.batch_size):
-            x, target, masks = _make_batch(items, idx)
-            out, cache = forward(params, net_cfg, x)
-            loss, d_out = categorical_cross_entropy(out, target)
-            if not np.isfinite(loss):
-                raise DivergenceError(f"non-finite training loss at epoch {epoch}")
-            n_pix = masks.size
-            loss_sum += loss * n_pix
-            hit_sum += int((argmax_channel(out) == masks).sum())
-            pixel_total += n_pix
-            grads = backward(params, net_cfg, cache, d_out)
-            params, state = adam_step(params, grads, state)
-        train_loss = loss_sum / pixel_total
-        train_acc = hit_sum / pixel_total
-
-        val_loss, val_acc, val_counts = _evaluate(
-            params, net_cfg, items, split.validation, config.batch_size
-        )
-        if not np.isfinite(val_loss):
-            raise DivergenceError(f"non-finite validation loss at epoch {epoch}")
+        order = np.random.default_rng(config.seed + epoch).permutation(split.train)
+        train_loss, train_acc, _ = _pass(params, net_cfg, images, masks, order, config.batch_size,
+                                         f"training loss at epoch {epoch}", state)
+        val_loss, val_acc, val_counts = _pass(params, net_cfg, images, masks, split.validation,
+                                              config.batch_size, f"validation loss at epoch {epoch}")
         row = f"{epoch},{train_loss:.6f},{train_acc:.6f},{val_loss:.6f},{val_acc:.6f}"
         rows.append(row)
         say(row)

@@ -131,7 +131,7 @@ class TestGen:
         assert proc.returncode == 3, proc.stderr
         err = proc.stderr.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), err
-        assert not [p for p in out.rglob("*") if p.is_file()]
+        assert not out.exists()
 
 
 class TestTrain:

@@ -227,6 +227,24 @@ class TestRunTraining:
         assert not Path(cfg.checkpoint).exists()
         assert sorted(p.name for p in Path(cfg.metrics).parent.iterdir()) == ["metrics.csv", "run.cfg"]
 
+    def test_validation_divergence_names_the_epoch_and_writes_nothing(self, tmp_path, data_dir, monkeypatch):
+        # 4 training and 2 validation items at batch 2: the 3rd loss is epoch 1's validation batch
+        calls = []
+        real_loss = train_mod.categorical_cross_entropy
+
+        def nan_on_third_call(pred, target):
+            calls.append(None)
+            loss, d_pred = real_loss(pred, target)
+            return (float("nan") if len(calls) == 3 else loss), d_pred
+
+        monkeypatch.setattr(train_mod, "categorical_cross_entropy", nan_on_third_call)
+        cfg = small_run_config(tmp_path, data_dir)
+        with pytest.raises(DivergenceError, match="validation loss at epoch 1"):
+            mv.run_training(cfg)
+        assert len(calls) == 3
+        assert not Path(cfg.metrics).exists()
+        assert not Path(cfg.checkpoint).exists()
+
     def test_wrong_image_size_names_the_file(self, tmp_path, data_dir):
         cfg = small_run_config(tmp_path, data_dir, input_size=32)
         with pytest.raises(DataMismatchError, match="phantom_00000"):
