@@ -1,12 +1,12 @@
 """Print the training step's median time and median minor page faults.
 
-Generates a phantom dataset and runs `run_training` on it, by default at
-the benchmark's `train_small` config: 20 phantoms of 64x64, depth 4, base 16,
-sigmoid head, batch 2, split 0.2, 2 epochs, data and run seed 1000. A step
-runs from a training forward (`want_cache=True`) to the return of the
-`adam_step` after it, as perfbench's `StepClock` times it. `train.forward`
-and `train.adam_step` are wrapped from outside for the run and restored
-after it; the package itself is not edited. Faults are the growth of
+Generates the benchmark's `train_small` dataset and runs `run_training` on it
+at that config: 20 phantoms of 64x64, depth 4, base 16, sigmoid head, batch 2,
+split 0.2, 2 epochs, data and run seed 1000. A step runs from a training
+forward (`want_cache=True`) to the return of the `adam_step` after it, as
+perfbench's `StepClock` times it. `train.forward` and `train.adam_step` are
+wrapped from outside for the run and restored after it; the package itself
+is not edited. Faults are the growth of
 `resource.getrusage(RUSAGE_SELF).ru_minflt` across each step. Run it as
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tools/step_faults.py [--runs N]
@@ -63,33 +63,36 @@ class StepMeter:
             train.forward, train.adam_step = forward, adam_step
 
 
+def train_small_config(root: Path) -> mv.RunConfig:
+    """Write `train_small`'s dataset under `root` and return its run config."""
+    mv.make_dataset(root / "data", 20, mv.PhantomSpec(size=64), seed=1000)
+    return mv.RunConfig(
+        dataset=str(root / "data"), checkpoint=str(root / "model.ckpt"),
+        metrics=str(root / "metrics.csv"), depth=4, base_channels=16, input_size=64,
+        epochs=2, batch_size=2, seed=1000, split="0.2", output_head="sigmoid",
+    )
+
+
+def report(steps: list[tuple[float, int]], runs: int) -> str:
+    """The step count and the medians of step ms and minor faults per step."""
+    ms, faults = zip(*steps)
+    return (f"steps: {len(steps)} over {runs} run(s)\n"
+            f"step ms p50: {statistics.median(ms):.1f}\n"
+            f"minor faults per step p50: {statistics.median(faults):.0f}")
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--runs", type=int, default=1, help="run_training calls in this process")
-    ap.add_argument("--count", type=int, default=20, help="phantoms in the dataset")
-    ap.add_argument("--size", type=int, default=64)
-    ap.add_argument("--depth", type=int, default=4)
-    ap.add_argument("--base", type=int, default=16, help="base channels")
-    ap.add_argument("--epochs", type=int, default=2)
     args = ap.parse_args(argv)
 
     meter = StepMeter()
     with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
-        mv.make_dataset(tmp / "data", args.count, mv.PhantomSpec(size=args.size), seed=1000)
-        config = mv.RunConfig(
-            dataset=str(tmp / "data"), checkpoint=str(tmp / "model.ckpt"),
-            metrics=str(tmp / "metrics.csv"), depth=args.depth, base_channels=args.base,
-            input_size=args.size, epochs=args.epochs, batch_size=2, seed=1000, split="0.2",
-            output_head="sigmoid",
-        )
+        config = train_small_config(Path(tmp))
         for _ in range(args.runs):
             meter.run(config)
     print(f"package: {Path(mv.__file__).parent}", file=sys.stderr)
-    ms, faults = zip(*meter.steps)
-    print(f"steps: {len(meter.steps)} over {args.runs} run(s)")
-    print(f"step ms p50: {statistics.median(ms):.1f}")
-    print(f"minor faults per step p50: {statistics.median(faults):.0f}")
+    print(report(meter.steps, args.runs))
     return 0
 
 
