@@ -14,8 +14,10 @@ import numpy as np
 
 from . import __version__
 from .data import (
+    MANIFEST_NAME,
     PhantomSpec,
     _read_image,
+    _refuse_overwrite,
     _write_atomic,
     load_manifest,
     make_dataset,
@@ -63,10 +65,10 @@ def _mask_files(directory: Path) -> list[Path]:
 
 def _input_images(directory: Path) -> tuple[list[Path], list[Path]]:
     """Images to predict on (manifest order when present, else sorted names),
-    and every input file, manifest masks included, that predict must not overwrite."""
-    if (directory / "manifest.txt").is_file():
+    and every input file, manifest and its masks included, that predict must not overwrite."""
+    if (directory / MANIFEST_NAME).is_file():
         pairs = load_manifest(directory)
-        return [img for img, _ in pairs], [path for pair in pairs for path in pair]
+        return [img for img, _ in pairs], [directory / MANIFEST_NAME, *(p for pair in pairs for p in pair)]
     images = _mask_files(directory)
     return images, images
 
@@ -87,6 +89,7 @@ def cmd_gen(args) -> int:
 
 def cmd_train(args) -> int:
     config = parse_config(args.config)
+    _refuse_overwrite([config.checkpoint, config.metrics], [args.config])  # run_training guards the dataset
     result = run_training(config, log=print)
     print(f"checkpoint: {result.checkpoint_path}")
     print(f"metrics: {result.metrics_path}")
@@ -106,8 +109,7 @@ def cmd_predict(args) -> int:
     params, net_cfg = load_checkpoint(args.checkpoint, np.float32)
     out_dir = Path(args.out)
     images, inputs = _input_images(Path(args.images))
-    if out_dir.resolve() in {path.resolve().parent for path in inputs}:
-        raise ValidationError(f"--out {out_dir} holds input files that the masks would overwrite")
+    _refuse_overwrite([out_dir / path.name for path in images], [args.checkpoint, *inputs])
     out_dir.mkdir(parents=True, exist_ok=True)
     for path in images:
         x = _read_image(path, net_cfg.input_size).astype(np.float32)
@@ -139,12 +141,6 @@ def _paired_masks(pred_dir: Path, truth_dir: Path) -> list[tuple[Path, Path]]:
     return [(pred[name], truth[name]) for name in sorted(pred)]
 
 
-def _refuse_out_over_input(out: str, inputs: list[Path]) -> None:
-    """A report written to --out must not replace a file that the command reads."""
-    if Path(out).resolve() in {path.resolve() for path in inputs}:
-        raise ValidationError(f"--out {out} is an input file that the report would overwrite")
-
-
 def _confusion_of(pairs: list[tuple[Path, Path]]) -> np.ndarray:
     """Confusion summed over (predicted, truth) mask files; two masks of different
     shapes are a DataMismatchError naming both files."""
@@ -159,7 +155,7 @@ def _confusion_of(pairs: list[tuple[Path, Path]]) -> np.ndarray:
 
 def cmd_evaluate(args) -> int:
     pairs = _paired_masks(Path(args.pred), Path(args.truth))
-    _refuse_out_over_input(args.out, [path for pair in pairs for path in pair])
+    _refuse_overwrite([args.out], [path for pair in pairs for path in pair])
     counts = _confusion_of(pairs)
     cells = _quality_cells(counts)
     print("confusion (rows true class, columns predicted):")
@@ -179,7 +175,7 @@ def cmd_volumetry(args) -> int:
     else:
         pairs = _paired_masks(Path(args.pred), Path(args.truth))
     inputs = [Path(args.reference)] + [path for pair in pairs for path in pair if path is not None]
-    _refuse_out_over_input(args.out, inputs)
+    _refuse_overwrite([args.out], inputs)
     pixels_c = count_class_pixels((read_mask(p) for p, _ in pairs), 1)
     report = calibrate_volume(pixels_c, pixels_m, v_m)
     counts = None if args.truth is None else _confusion_of(pairs)

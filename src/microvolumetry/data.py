@@ -316,13 +316,40 @@ def _read_text(path, error) -> str:
         raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
+def _read_pairs(path, error) -> dict[str, tuple[int, str]]:
+    """A "key = value" file as {key: (line number, value)}; "#" starts a comment, and a line
+    without "=", an empty key or a repeated key raises `error` naming the line."""
+    pairs: dict[str, tuple[int, str]] = {}
+    for lineno, line in enumerate(_read_text(path, error).splitlines(), start=1):
+        line = line.partition("#")[0].strip()
+        if not line:
+            continue
+        key, sep, value = (part.strip() for part in line.partition("="))
+        if not sep or not key:
+            raise error(f"{path}:{lineno}: expected 'key = value'")
+        if key in pairs:
+            raise error(f"{path}:{lineno}: duplicate key '{key}'")
+        pairs[key] = (lineno, value)
+    return pairs
+
+
+def _refuse_overwrite(outputs, inputs) -> None:
+    """Before anything is written: ValidationError if an output is an input or repeats another output."""
+    taken = {Path(p).resolve(): "an input file" for p in inputs}
+    for out in outputs:
+        path = Path(out).resolve()
+        if path in taken:
+            raise ValidationError(f"writing {out} would overwrite {taken[path]}")
+        taken[path] = "another output of the same command"
+
+
 def load_manifest(dataset_dir) -> list[tuple[Path, Path]]:
     """Resolve the manifest of a generated dataset into path pairs."""
     dataset_dir = Path(dataset_dir)
     manifest = dataset_dir / MANIFEST_NAME
     if not manifest.is_file():
         raise DataMismatchError(f"no {MANIFEST_NAME} in {dataset_dir}")
-    pairs = []
+    pairs, seen = [], {}
     for lineno, line in enumerate(_read_text(manifest, DataMismatchError).splitlines(), start=1):
         if not line.strip():
             continue
@@ -332,6 +359,10 @@ def load_manifest(dataset_dir) -> list[tuple[Path, Path]]:
         img, mask = dataset_dir / parts[0], dataset_dir / parts[1]
         if not img.is_file() or not mask.is_file():
             raise DataMismatchError(f"{manifest}:{lineno}: missing file {img} or {mask}")
+        for path in (img, mask):  # a repeat would put one slice in both training and validation
+            if (key := path.resolve()) in seen:
+                raise DataMismatchError(f"{manifest}:{lineno}: {path} was already listed at line {seen[key]}")
+            seen[key] = lineno
         pairs.append((img, mask))
     if not pairs:
         raise DataMismatchError(f"{manifest} lists no pairs")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _read_text, _write_atomic
+from .data import _read_pairs, _write_atomic
 from .errors import ShapeError, ValidationError
 from .tensor import NUM_CLASSES
 
@@ -119,24 +119,18 @@ def write_report(rep: VolumetryReport, counts, path) -> None:
 
 
 def read_reference(path) -> tuple[int, float]:
-    """Parse the reference-software export: pixels_M=<int>, V_M_mm3=<decimal>."""
-    values: dict[str, str] = {}
-    for line in _read_text(path, ValidationError).splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        if sep:
-            values[key.strip()] = value.strip()
-    if "pixels_M" not in values:
-        raise ValidationError(f"{path}: missing 'pixels_M=<integer>' line")
-    if "V_M_mm3" not in values:
-        raise ValidationError(f"{path}: missing 'V_M_mm3=<decimal>' line")
-    try:
-        pixels_m = int(values["pixels_M"])
-        v_m = float(values["V_M_mm3"])
-    except ValueError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
-    if pixels_m <= 0 or not 0 < v_m < np.inf:
-        raise ValidationError(f"{path}: pixels_M and V_M_mm3 must be positive and finite")
-    return pixels_m, v_m
+    """The reference-software export's pixels_M=<integer> and V_M_mm3=<decimal>, both > 0 and finite."""
+    pairs = _read_pairs(path, ValidationError)
+    values = []
+    for key, kind, form in (("pixels_M", int, "integer"), ("V_M_mm3", float, "decimal")):
+        if key not in pairs:
+            raise ValidationError(f"{path}: missing '{key}=<{form}>' line")
+        lineno, raw = pairs[key]
+        try:
+            value = kind(raw)
+        except ValueError:
+            raise ValidationError(f"{path}:{lineno}: expected '{key}=<{form}>', got {raw!r}") from None
+        if not 0 < value < np.inf:
+            raise ValidationError(f"{path}:{lineno}: {key} must be positive and finite, got {raw!r}")
+        values.append(value)
+    return tuple(values)

@@ -15,8 +15,10 @@ from pathlib import Path
 import numpy as np
 
 from .data import (
+    MANIFEST_NAME,
     _read_image,
-    _read_text,
+    _read_pairs,
+    _refuse_overwrite,
     _write_atomic,
     encode_one_hot,
     load_manifest,
@@ -74,40 +76,17 @@ _DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
 _PATH_KEYS = ("dataset", "checkpoint", "metrics")
 
 
-def _coerce(key: str, raw: str):
-    """Parse a raw value as the type of the key's default."""
-    kind = type(_DEFAULTS[key])
-    if kind is str:
-        return raw
-    try:
-        return kind(raw)
-    except ValueError:
-        raise ValidationError(f"config key '{key}' has non-numeric value {raw!r}") from None
-
-
 def parse_config(path) -> RunConfig:
     """Read a flat key = value config; unknown or duplicate keys are errors."""
     path = Path(path)
     seen: dict[str, object] = {}
-    for lineno, line in enumerate(_read_text(path, ValidationError).splitlines(), start=1):
-        line = line.partition("#")[0].strip()
-        if not line:
-            continue
-        key, sep, raw = line.partition("=")
-        key, raw = key.strip(), raw.strip()
-        if not sep or not key:
-            raise ValidationError(f"{path}:{lineno}: expected 'key = value'")
+    for key, (lineno, raw) in _read_pairs(path, ValidationError).items():
         if key not in _DEFAULTS:
             raise ValidationError(f"{path}:{lineno}: unknown config key '{key}'")
-        if key in seen:
-            raise ValidationError(f"{path}:{lineno}: duplicate config key '{key}'")
-        seen[key] = _coerce(key, raw)
-    for key in _PATH_KEYS:
-        if key in seen:
-            try:
-                seen[key] = str((path.parent / str(seen[key])).resolve())
-            except ValueError:  # e.g. an embedded NUL byte
-                raise ValidationError(f"{path}: config key '{key}' is not a usable path") from None
+        try:  # paths resolve against the config's directory; other values parse as their default's type
+            seen[key] = str((path.parent / raw).resolve()) if key in _PATH_KEYS else type(_DEFAULTS[key])(raw)
+        except ValueError:  # a number that does not parse, or a path with a NUL byte
+            raise ValidationError(f"{path}:{lineno}: config key '{key}' has invalid value {raw!r}") from None
     return RunConfig(**seen)
 
 
@@ -165,7 +144,10 @@ def run_training(config: RunConfig, log=None) -> TrainingResult:
     Raises DivergenceError at the first non-finite loss, with every finished epoch's row on disk.
     """
     say = log if log is not None else lambda *_: None
-    images, masks = _load_items(load_manifest(config.dataset), config.input_size)
+    pairs = load_manifest(config.dataset)
+    _refuse_overwrite([config.checkpoint, config.metrics],
+                      [Path(config.dataset) / MANIFEST_NAME, *(path for pair in pairs for path in pair)])
+    images, masks = _load_items(pairs, config.input_size)
     split = split_dataset(list(range(len(images))), config.split, config.seed)
     say(f"dataset: {len(split.train)} training / {len(split.validation)} validation pairs")
 

@@ -198,6 +198,22 @@ class TestTrain:
         )
         assert main(["train", "--config", str(cfg)]) == 4
 
+    # each exited 0: checkpoint bytes in the manifest or the config, a mask replaced by the CSV,
+    # or the CSV lost under the checkpoint
+    @pytest.mark.parametrize("checkpoint, metrics", [
+        ("data/manifest.txt", "m.csv"), ("m.ckpt", "data/masks/phantom_00002.pgm"), ("m.out", "m.out"),
+        ("run.cfg", "m.csv"),
+    ], ids=["checkpoint-is-manifest", "metrics-is-a-mask", "checkpoint-is-metrics", "checkpoint-is-config"])
+    def test_outputs_over_the_dataset_or_each_other_exit_2(self, trained, tmp_path, capsys,
+                                                          checkpoint, metrics):
+        shutil.copytree(trained / "data", tmp_path / "data")
+        write_config(tmp_path / "run.cfg", dataset="data", checkpoint=checkpoint, metrics=metrics,
+                     depth=1, base_channels=2, input_size=16, epochs=1, split="0.2")
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        assert main(["train", "--config", str(tmp_path / "run.cfg")]) == 2
+        assert "overwrite" in error_line(capsys)
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
     def test_divergence_exits_5(self, trained, tmp_path, monkeypatch):
         def nan_loss(pred, target):
             return float("nan"), np.zeros_like(pred)
@@ -294,6 +310,22 @@ class TestPredict:
         assert code == 2
         assert "overwrite" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in (data / out).iterdir()} == before
+
+    def test_two_images_with_one_name_exit_2_and_write_nothing(self, trained, tmp_path, capsys):
+        # printed "wrote 3 masks" and left 2 files, the second mask over the first
+        data = shutil.copytree(trained / "data", tmp_path / "data")
+        shutil.copytree(data / "images", data / "more")
+        (data / "manifest.txt").write_text(
+            "images/phantom_00000.pgm\tmasks/phantom_00000.pgm\n"
+            "images/phantom_00001.pgm\tmasks/phantom_00001.pgm\n"
+            "more/phantom_00000.pgm\tmasks/phantom_00002.pgm\n")
+        out = tmp_path / "pred"
+        code = main(["predict", "--checkpoint", str(trained / "model.ckpt"),
+                     "--images", str(data), "--out", str(out)])
+        assert code == 2
+        err = error_line(capsys)
+        assert "phantom_00000.pgm" in err and "overwrite another output" in err
+        assert not out.exists()
 
     def test_missing_checkpoint_exits_3(self, tmp_path):
         code = main([
@@ -540,6 +572,17 @@ class TestVolumetry:
                      "--reference", str(ref), "--out", str(tmp_path / "vol.csv")])
         assert code == 2
         assert "pixels_M" in capsys.readouterr().err
+
+    def test_repeated_reference_key_exits_2_naming_the_line(self, trained, tmp_path, capsys):
+        # the last pixels_M won: exit 0 with a report scaled by 400 instead of 100
+        ref = tmp_path / "ref.txt"
+        ref.write_text("pixels_M=100\nV_M_mm3=2.0\npixels_M=400\n")
+        out = tmp_path / "vol.csv"
+        code = main(["volumetry", "--pred", str(trained / "data" / "masks"),
+                     "--reference", str(ref), "--out", str(out)])
+        assert code == 2
+        assert "ref.txt:3: duplicate key 'pixels_M'" in error_line(capsys)
+        assert not out.exists()
 
     def test_infinite_reference_volume_exits_2_without_output(self, trained, tmp_path, capsys):
         ref = write_reference(tmp_path / "ref.txt", volume="inf")

@@ -258,6 +258,18 @@ class TestDataset:
         with pytest.raises(DataMismatchError):
             mv.load_manifest(tmp_path)
 
+    @pytest.mark.parametrize("third", [
+        "images/phantom_00000.pgm\tmasks/phantom_00002.pgm",  # an image listed twice
+        "images/phantom_00002.pgm\tmasks/./phantom_00000.pgm",  # a mask listed twice
+    ], ids=["image", "mask"])
+    def test_load_manifest_rejects_a_repeated_path_naming_both_lines(self, tmp_path, third):
+        # a repeated pair trained with exit 0, with that slice in both training and validation
+        mv.make_dataset(tmp_path, 3, mv.PhantomSpec(size=16), seed=8)
+        lines = (tmp_path / "manifest.txt").read_text().splitlines()
+        (tmp_path / "manifest.txt").write_text("\n".join(lines[:2] + [third]) + "\n")
+        with pytest.raises(DataMismatchError, match=r"manifest\.txt:3: .* already listed at line 1"):
+            mv.load_manifest(tmp_path)
+
     def test_count_must_be_positive(self, tmp_path):
         with pytest.raises(ValidationError):
             mv.make_dataset(tmp_path, 0, mv.PhantomSpec(size=16), seed=0)

@@ -1,5 +1,5 @@
-"""Fuzz the parsers of untrusted files (read_pgm, load_checkpoint, parse_config, load_manifest)
-and the CLI.
+"""Fuzz the parsers of untrusted files (read_pgm, load_checkpoint, parse_config, load_manifest,
+read_reference) and the CLI.
 
 Whatever the bytes, each parser either returns or raises its own named
 error (PgmFormatError, CheckpointError, ValidationError, DataMismatchError),
@@ -59,6 +59,7 @@ VALID_CONFIG = (
     b"dataset = data\ndepth = 2\nbase_channels = 4\ninput_size = 16\n"
     b"epochs = 3 # short\nlr = 0.001\nseed = 7\nsplit = 0.2\n"
 )
+VALID_REFERENCE = b"# reference scan\npixels_M = 23546219\nV_M_mm3 = 365.03 # mm^3\n"
 VALID_MANIFEST = (b"images/phantom_00000.pgm\tmasks/phantom_00000.pgm\n"
                   b"images/phantom_00001.pgm\tmasks/phantom_00001.pgm\n")
 U32_EDGES = [0, 1, 2, 3, 31, 32, 33, 2**16, 2**31 - 1, 2**31, 2**32 - 1, 0xF998E147]
@@ -164,6 +165,20 @@ def test_parse_config_raises_only_validation_error(scratch, blob):
     except ValidationError:
         return
     assert cfg.dataset
+
+
+@FUZZ
+@given(blob=st.one_of(st.binary(max_size=64), mutated(VALID_REFERENCE)))
+@example(blob=VALID_REFERENCE)
+@example(blob=b"pixels_M=100\nV_M_mm3=2.0\npixels_M=400\n")
+def test_read_reference_raises_only_validation_error(scratch, blob):
+    path = scratch / "ref.txt"
+    path.write_bytes(blob)
+    try:
+        pixels_m, v_m = mv.read_reference(path)
+    except ValidationError:
+        return
+    assert type(pixels_m) is int and pixels_m > 0 and type(v_m) is float and 0 < v_m < np.inf
 
 
 @pytest.fixture(scope="module")

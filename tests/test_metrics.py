@@ -203,6 +203,23 @@ class TestReferenceFile:
         path.write_text("V_M_mm3 = 12.5\n\npixels_M = 400\n")
         assert mv.read_reference(path) == (400, 12.5)
 
+    def test_inline_comments_parse_and_a_bad_value_names_its_line(self, tmp_path):
+        path = tmp_path / "ref.txt"
+        path.write_text("pixels_M = 400  # bone pixels\nV_M_mm3 = 12.5 # mm^3\n")
+        assert mv.read_reference(path) == (400, 12.5)
+        path.write_text("# export\npixels_M = 400\n\nV_M_mm3 = -1\n")
+        with pytest.raises(ValidationError, match=r"ref\.txt:4: .*V_M_mm3"):
+            mv.read_reference(path)
+        path.write_text("pixels_M = 4x0\nV_M_mm3 = 12.5\n")
+        with pytest.raises(ValidationError, match=r"ref\.txt:1: .*pixels_M"):
+            mv.read_reference(path)
+
+    def test_line_without_equals_is_refused(self, tmp_path):
+        path = tmp_path / "ref.txt"
+        path.write_text("pixels_M=400\nV_M_mm3 12.5\nV_M_mm3=12.5\n")
+        with pytest.raises(ValidationError, match=r"ref\.txt:2: expected 'key = value'"):
+            mv.read_reference(path)
+
     def test_errors_name_the_missing_line(self, tmp_path):
         path = tmp_path / "ref.txt"
         path.write_text("V_M_mm3=1.0\n")
