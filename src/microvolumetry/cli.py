@@ -109,7 +109,7 @@ def cmd_predict(args) -> int:
     params, net_cfg = load_checkpoint(args.checkpoint, np.float32)
     out_dir = Path(args.out)
     images, inputs = _input_images(Path(args.images))
-    _refuse_overwrite([out_dir / path.name for path in images], [args.checkpoint, *inputs])
+    _refuse_overwrite([out_dir / path.name for path in images], [args.checkpoint, *inputs], [out_dir])
     out_dir.mkdir(parents=True, exist_ok=True)
     for path in images:
         x = _read_image(path, net_cfg.input_size).astype(np.float32)

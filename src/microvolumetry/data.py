@@ -290,16 +290,16 @@ def make_dataset(out_dir, count: int, template: PhantomSpec, seed: int = 0) -> l
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
     out_dir = Path(out_dir)
+    names = [(f"images/phantom_{i:05d}.pgm", f"masks/phantom_{i:05d}.pgm") for i in range(count)]
+    _refuse_overwrite([out_dir / rel for pair in names for rel in pair], [], [out_dir / "images", out_dir / "masks"])
     pairs: list[tuple[Path, Path]] = []
     lines: list[str] = []
-    for i in range(count):
+    for i, (rel_img, rel_mask) in enumerate(names):
         item_seed = int(np.random.SeedSequence([seed, i]).generate_state(1)[0])
         image, mask = generate_phantom(replace(template, seed=item_seed))
         if i == 0:  # only now, so a gen that fails on its first phantom leaves no directory
             os.makedirs(out_dir / "images", exist_ok=True)
             os.makedirs(out_dir / "masks", exist_ok=True)
-        rel_img = f"images/phantom_{i:05d}.pgm"
-        rel_mask = f"masks/phantom_{i:05d}.pgm"
         write_pgm(image, out_dir / rel_img)
         write_pgm(mask, out_dir / rel_mask)
         pairs.append((out_dir / rel_img, out_dir / rel_mask))
@@ -333,14 +333,19 @@ def _read_pairs(path, error) -> dict[str, tuple[int, str]]:
     return pairs
 
 
-def _refuse_overwrite(outputs, inputs) -> None:
-    """Before anything is written: ValidationError if an output is an input or repeats another output."""
-    taken = {Path(p).resolve(): "an input file" for p in inputs}
+def _refuse_overwrite(outputs, inputs, dirs=()) -> None:
+    """Before anything is written: ValidationError if an output is an input or repeats another output, or if
+    one of `dirs` holds a .pgm that is no output, which every reader of the directory would take as one."""
+    taken, written = {Path(p).resolve(): "an input file" for p in inputs}, set()
     for out in outputs:
         path = Path(out).resolve()
         if path in taken:
             raise ValidationError(f"writing {out} would overwrite {taken[path]}")
         taken[path] = "another output of the same command"
+        written.add(path)
+    for stray in (p for d in dirs for p in sorted(Path(d).glob("*.pgm")) if p.is_file()):
+        if stray.resolve() not in written:
+            raise ValidationError(f"{stray} is no output of this command but would sit among them; move it away")
 
 
 def load_manifest(dataset_dir) -> list[tuple[Path, Path]]:

@@ -17,6 +17,9 @@ conv may write its output into x itself, at stride 1 with padding at most one
 chunk's rows. Max pooling keeps no argmax: its backward recomputes each window's
 argmax from the pool input, which a training cache holds anyway. The 2x2, stride-2
 tconv is a 1x1 conv to O*2*2 channels plus depth-to-space: each pass, one GEMM per image.
+`_correlate` and the tconv forward run their row chunks as W slabs, one per thread
+(`_in_slabs`), with the same GEMMs, so no bit depends on W: the usable CPUs over the
+BLAS threads of OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, else 1. d_weights stays in one.
 
 Arrays are laid out (batch, channels, height, width). Every kernel returns
 the dtype of its input: training runs in float64, `predict` in float32.
@@ -24,6 +27,8 @@ the dtype of its input: training runs in float64, `predict` in float32.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -40,6 +45,15 @@ _COL_CHUNK_BYTES = 128 * 2**20
 _COL_CHUNK_COLS = 512
 
 CCE_EPS = 1e-7
+
+
+# W, the slabs per call (see the module docstring), and the GEMM FLOPs a slab needs: on a 2-core Xeon at 1 BLAS
+# thread, float64 convs of 2-75 MFLOP took 1.0-1.9x as long in two slabs, and one of 151 MFLOP 0.6x.
+_SLAB_FLOP = 50_000_000
+_BLAS = [int(v) for v in map(os.environ.get, ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")) if (v or "").isdigit()]
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_WORKERS = max(1, _CPUS // next(b for b in _BLAS if b)) if any(_BLAS) else 1  # the first positive count, as OpenBLAS
+_POOL = ThreadPoolExecutor(max(_WORKERS - 1, 1), thread_name_prefix="microvolumetry-slab")  # threads start on use
 
 
 @dataclass(frozen=True)
@@ -106,29 +120,33 @@ def _chunk_rows(n: int, c: int, k: int, wo: int) -> int:
     return max(1, min(_COL_CHUNK_BYTES // max(per_row, 1), -(-_COL_CHUNK_COLS // wo)))
 
 
-def _patches(x: np.ndarray, k: int, stride: int, p: int, ho: int, wo: int, x2=None):
+def _scratch(x: np.ndarray, k: int, stride: int, wo: int, step: int, x2=None):
+    """A zero band and a patch buffer for `_patches` chunks of `step` output rows of x joined with x2."""
+    n, c = x.shape[0], x.shape[1] + (0 if x2 is None else x2.shape[1])
+    return (np.zeros((n, c, (step - 1) * stride + k, (wo - 1) * stride + k), dtype=x.dtype),
+            np.empty((n, c * k * k, step * wo), dtype=x.dtype))
+
+
+def _patches(x: np.ndarray, k: int, stride: int, p: int, ho: int, wo: int, x2=None, starts=None, scratch=None):
     """Yield (output column slice, patch matrix) for each chunk of output rows.
 
-    The patch matrix is batch-major, (N, C*k*k, rows*wo), where C counts the
-    channels of x and then of x2, if given. Each chunk copies the input rows
-    it reads, of x and of x2 after it, into a zero band, which is their join
-    padded by p on each side (cropped by -p when p < 0), and copies the
-    band's k x k sliding windows, taken at the stride, into the patch matrix.
-    One band and one patch buffer, sized for the first and largest chunk,
-    serve every chunk: a yielded matrix holds its values until the next draw.
+    Chunks start at the rows of the range `starts`, by default all ho rows in `_chunk_rows` chunks. The
+    patch matrix is batch-major, (N, C*k*k, rows*wo), where C counts the channels of x and then of x2, if
+    given. Each chunk copies the input rows it reads, of x and of x2 after it, into a zero band, which is
+    their join padded by p on each side (cropped by -p when p < 0), and copies the band's k x k sliding
+    windows, taken at the stride, into the patch matrix. One band and one patch buffer, `scratch` (from
+    `_scratch`) if given, serve every chunk: a yielded matrix holds its values until the next draw.
     """
     n, c1, h, w = x.shape
     c = c1 + (0 if x2 is None else x2.shape[1])
-    step = min(_chunk_rows(n, c, k, wo), ho)
-    band_w = (wo - 1) * stride + k
-    xa, xb = max(-p, 0), min(band_w - p, w)
-    band = np.zeros((n, c, (step - 1) * stride + k, band_w), dtype=x.dtype)
-    buf = np.empty((n, c * k * k, step * wo), dtype=x.dtype)
-    buf6 = buf.reshape(n, c, k, k, step, wo)
+    starts = range(0, ho, min(_chunk_rows(n, c, k, wo), ho)) if starts is None else starts
+    band, buf = _scratch(x, k, stride, wo, starts.step, x2) if scratch is None else scratch
+    xa, xb = max(-p, 0), min(band.shape[3] - p, w)
+    buf6 = buf.reshape(n, c, k, k, starts.step, wo)
     # The band's k x k windows at the stride, on buf6's axes; a chunk of fewer rows reads the first.
     win = sliding_window_view(band, (k, k), axis=(2, 3))[:, :, ::stride, ::stride].transpose(0, 1, 4, 5, 2, 3)
-    for r0 in range(0, ho, step):
-        r1 = min(ho, r0 + step)
+    for r0 in starts:
+        r1 = min(ho, r0 + starts.step)  # a range that stops short of ho stops at a chunk boundary
         rows, band_h = r1 - r0, (r1 - r0 - 1) * stride + k
         y0 = r0 * stride - p  # the input row that the band's first row holds
         # Band rows [top, bottom) hold input rows; the rest are padding. Only
@@ -146,21 +164,46 @@ def _patches(x: np.ndarray, k: int, stride: int, p: int, ho: int, wo: int, x2=No
         yield slice(r0 * wo, r1 * wo), buf[:, :, : rows * wo]
 
 
+def _in_slabs(rows: int, step: int, flop: int, scratch: Callable[[int], tuple], work: Callable) -> list:
+    """[work(slab, *scratch(i)) for each slab i]: at most W ranges that split range(0, rows, step), each with
+    `_SLAB_FLOP` or more of the call's `flop` GEMM FLOPs. This thread runs the first and allocates every scratch
+    (a worker's would stay in its malloc arena). All end before this returns, or raises the first slab's error."""
+    w = min(_WORKERS, chunks := -(-rows // step), max(1, flop // _SLAB_FLOP))
+    jobs = [(range(chunks * i // w * step, min(chunks * (i + 1) // w * step, rows), step), *scratch(i))
+            for i in range(w)]
+    futures = [_POOL.submit(work, *job) for job in jobs[1:]]
+    try:
+        first = work(*jobs[0])
+    finally:
+        wait(futures)
+    return [first] + [f.result() for f in futures]
+
+
 def _correlate(x: np.ndarray, wmat: np.ndarray, k: int, stride: int, p: int, ho: int, wo: int,
                x2=None, out=None) -> np.ndarray:
     """Bias-free cross-correlation of x (joined with x2), zero-padded by p, with `wmat` (Cout, C*k*k),
-    into `out` (N, Cout, ho, wo), fresh if None. Each row chunk's GEMMs, one per image, fill one held-back
-    buffer, stored only once the next chunk's band has copied its input rows. So `out` may be x at stride 1
-    with p at most one chunk's rows: every row that a later chunk reads lies below the rows stored."""
+    into `out` (N, Cout, ho, wo), fresh if None. In a slab, each row chunk's GEMMs, one per image, fill a
+    held-back buffer, stored once the next chunk's band has copied its input rows; the caller stores each
+    slab's last chunk, and each later slab's first, after every slab has returned. So `out` may be x at
+    stride 1 with p at most one chunk's rows: no band reads a row already stored."""
     n, m = x.shape[0], wmat.shape[0]
     out = np.empty((n, m, ho, wo), dtype=x.dtype) if out is None else out
-    flat, at = out.reshape(n, m, ho * wo), slice(0, 0)
-    held = np.empty((n, m, min(_chunk_rows(n, wmat.shape[1] // k**2, k, wo), ho) * wo), dtype=x.dtype)
-    for cols_at, cols in _patches(x, k, stride, p, ho, wo, x2):
-        flat[:, :, at] = held[:, :, : at.stop - at.start]
-        at = cols_at
-        np.matmul(wmat, cols, out=held[:, :, : cols.shape[2]])
-    flat[:, :, at] = held[:, :, : at.stop - at.start]
+    flat, step = out.reshape(n, m, ho * wo), min(_chunk_rows(n, wmat.shape[1] // k**2, k, wo), ho)
+
+    def scratch(i):  # a band, a patch buffer, a held-back result and, after the first slab, a held first chunk
+        return (*_scratch(x, k, stride, wo, step, x2), *np.empty((1 + (i > 0), n, m, step * wo), dtype=x.dtype))
+
+    def slab(starts, band, buf, held, first=None):
+        hold = first is not None and len(starts) > 1  # then the caller stores the first chunk
+        for i, (cols_at, cols) in enumerate(_patches(x, k, stride, p, ho, wo, x2, starts, (band, buf))):
+            if i > hold:
+                flat[:, :, at] = held[:, :, : at.stop - at.start]
+            np.matmul(wmat, cols, out=(first if hold and i == 0 else held)[:, :, : cols.shape[2]])
+            at = cols_at
+        return [(at, held)] + ([(slice(starts[0] * wo, starts[1] * wo), first)] if hold else [])
+
+    for at, buf in sum(_in_slabs(ho, step, 2 * n * wmat.size * ho * wo, scratch, slab), []):
+        flat[:, :, at] = buf[:, :, : at.stop - at.start]
     return out
 
 
@@ -304,9 +347,12 @@ def tconv2_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.n
     out6 = out.reshape(n, o, h, 2, w, 2)
     wmat = weights.reshape(c, 4 * o).T
     step = min(_chunk_rows(n, o, 2, w), h)
-    for r0 in range(0, h, step):
-        prod = wmat @ x[:, :, r0 : r0 + step].reshape(n, c, -1)  # (N, O*2*2, rows*W)
-        out6[:, :, r0 : r0 + step] = prod.reshape(n, o, 2, 2, -1, w).transpose(0, 1, 4, 2, 5, 3)
+
+    def slab(starts, prod):
+        for r0 in starts:
+            got = np.matmul(wmat, x[:, :, r0 : r0 + step].reshape(n, c, -1), out=prod[:, :, : min(step, h - r0) * w])
+            out6[:, :, r0 : r0 + step] = got.reshape(n, o, 2, 2, -1, w).transpose(0, 1, 4, 2, 5, 3)
+    _in_slabs(h, step, 2 * n * wmat.size * h * w, lambda i: (np.empty((n, 4 * o, step * w), dtype=x.dtype),), slab)
     out += bias.reshape(1, -1, 1, 1)
     return out
 

@@ -10,6 +10,7 @@ import resource
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -114,6 +115,18 @@ class TestGen:
         assert main(gen_args(tmp_path / "d", seed=-1)) == 2
         assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
         assert not (tmp_path / "d").exists()
+
+    def test_fewer_pairs_over_a_dataset_exit_2_and_leave_it_byte_identical(self, tmp_path, capsys):
+        # exited 0 and left phantom_00002 in images/ and masks/, outside the new manifest
+        data = tmp_path / "d"
+        assert main(gen_args(data, count=3)) == 0
+        assert main(gen_args(data, count=3)) == 0  # a rerun rewrites the same files
+        before = {p: p.read_bytes() for p in data.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        assert main(gen_args(data, count=2)) == 2
+        assert "phantom_00002.pgm" in error_line(capsys)
+        assert {p: p.read_bytes() for p in data.rglob("*") if p.is_file()} == before
+        assert main(gen_args(data, count=4)) == 0  # more pairs overwrite every old one
 
 
     def test_request_the_machine_cannot_hold_exits_3_and_writes_no_file(self, tmp_path):
@@ -326,6 +339,41 @@ class TestPredict:
         err = error_line(capsys)
         assert "phantom_00000.pgm" in err and "overwrite another output" in err
         assert not out.exists()
+
+    def test_out_holding_a_mask_it_would_not_write_exits_2_and_writes_nothing(self, trained, tmp_path, capsys):
+        # exited 0, and `volumetry --pred` then counted the stray mask's bone as well
+        args = ["predict", "--checkpoint", str(trained / "model.ckpt"), "--images", str(trained / "data")]
+        out = tmp_path / "pred"
+        assert main(args + ["--out", str(out)]) == 0
+        assert main(args + ["--out", str(out)]) == 0  # a rerun rewrites the same masks
+        shutil.copy(trained / "data" / "masks" / "phantom_00000.pgm", out / "extra.pgm")
+        (out / "notes.txt").write_text("not a mask")
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        assert main(args + ["--out", str(out)]) == 2
+        assert "extra.pgm" in error_line(capsys)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_a_failing_slab_exits_3_with_one_error_line_and_no_mask(self, trained, tmp_path, capsys,
+                                                                    monkeypatch):
+        # one-row chunks in two slabs, the second of which runs out of memory in its GEMM
+        monkeypatch.setattr(mv.layers, "_COL_CHUNK_BYTES", 1)
+        monkeypatch.setattr(mv.layers, "_WORKERS", 2)
+        monkeypatch.setattr(mv.layers, "_SLAB_FLOP", 1)
+        real = np.matmul
+
+        def matmul(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                raise MemoryError("no room for the GEMM")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mv.layers.np, "matmul", matmul)
+        out = tmp_path / "pred"
+        code = main(["predict", "--checkpoint", str(trained / "model.ckpt"),
+                     "--images", str(trained / "data"), "--out", str(out)])
+        assert code == 3
+        assert "no room for the GEMM" in error_line(capsys)
+        assert not list(out.glob("*.pgm"))
 
     def test_missing_checkpoint_exits_3(self, tmp_path):
         code = main([

@@ -94,3 +94,29 @@ def test_decoder_conv1_writes_into_its_skip(monkeypatch):
     chunk = (2 * c * (rows + k - 1) * (size + k - 1) + 2 * c * k * k * rows * size + c * rows * size) * 4
     [peak] = [peak for layer, _, peak in recorder.calls if layer == "dec0.conv1"]
     assert peak <= inputs + chunk + 16384, (peak, inputs + chunk)
+
+
+def test_decoder_conv1_writes_into_its_skip_in_two_slabs(monkeypatch):
+    # The same call split over two threads: each slab holds its own band, patch
+    # buffer and held-back GEMM result, and the second also holds its first
+    # chunk's result until both slabs end. Still nothing as large as an
+    # activation is live beside the two inputs. The slack is the one above
+    # once per thread, for the few KiB of Python objects each slab keeps live.
+    monkeypatch.setattr(layers, "_COL_CHUNK_BYTES", 1)
+    monkeypatch.setattr(layers, "_WORKERS", 2)
+    monkeypatch.setattr(layers, "_SLAB_FLOP", 1)
+    tool = load_tool()
+    cfg = mv.UNetConfig(depth=2, base_channels=8, input_size=64)
+    params = {name: (w.astype(np.float32), b.astype(np.float32))
+              for name, (w, b) in mv.build(cfg, 0).items()}
+    batch = np.random.default_rng(0).random((1, 1, 64, 64), dtype=np.float32)
+    mv.forward(params, cfg, batch, want_cache=False)  # first calls fill numpy's own caches
+    recorder = tool.PeakRecorder(params, cfg)
+    recorder.run(params, cfg, batch)
+    c, size, k = cfg.base_channels, cfg.input_size, 3
+    inputs = 2 * c * size * size * 4  # the skip and the upsampled array
+    rows = layers._chunk_rows(1, 2 * c, k, size)
+    held = c * rows * size * 4
+    chunk = (2 * c * (rows + k - 1) * (size + k - 1) + 2 * c * k * k * rows * size) * 4 + held
+    [peak] = [peak for layer, _, peak in recorder.calls if layer == "dec0.conv1"]
+    assert peak <= inputs + 2 * chunk + held + 2 * 16384, (peak, inputs + 2 * chunk + held)
