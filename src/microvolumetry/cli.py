@@ -16,6 +16,7 @@ from . import __version__
 from .data import (
     MANIFEST_NAME,
     PhantomSpec,
+    _pgm_files,
     _read_image,
     _refuse_overwrite,
     _write_atomic,
@@ -57,7 +58,7 @@ _ONE_LINE = str.maketrans({c: c.encode("unicode_escape").decode("ascii")
 
 
 def _mask_files(directory: Path) -> list[Path]:
-    files = sorted(p for p in directory.glob("*.pgm") if p.is_file())
+    files = _pgm_files(directory)
     if not files:
         raise DataMismatchError(f"no .pgm files in {directory}")
     return files
@@ -123,13 +124,15 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _paired_masks(pred_dir: Path, truth_dir: Path) -> list[tuple[Path, Path]]:
-    """(predicted, truth) mask files matched by file name; an unmatched name is an error,
-    and so is one directory given as both, which would score every mask against itself."""
-    if pred_dir.resolve() == truth_dir.resolve():
+def _score(args, *inputs) -> tuple[int, np.ndarray]:
+    """Predicted bone pixels, and their confusion against `--truth` (zero without it); reads each
+    mask once. Masks pair by file name: an unmatched name, one directory given as both, or a pair of
+    different shapes is an error. `--out` may overwrite no mask and none of `inputs`."""
+    pred_dir, truth_dir = Path(args.pred), None if args.truth is None else Path(args.truth)
+    if truth_dir is not None and pred_dir.resolve() == truth_dir.resolve():
         raise ValidationError(f"--pred {pred_dir} and --truth {truth_dir} are the same directory")
     pred = {p.name: p for p in _mask_files(pred_dir)}
-    truth = {p.name: p for p in _mask_files(truth_dir)}
+    truth = dict.fromkeys(pred) if truth_dir is None else {p.name: p for p in _mask_files(truth_dir)}
     only_pred = sorted(pred.keys() - truth.keys())
     only_truth = sorted(truth.keys() - pred.keys())
     if only_pred or only_truth:
@@ -138,25 +141,21 @@ def _paired_masks(pred_dir: Path, truth_dir: Path) -> list[tuple[Path, Path]]:
             f"without truth: {', '.join(only_pred) or 'none'}; "
             f"without prediction: {', '.join(only_truth) or 'none'}"
         )
-    return [(pred[name], truth[name]) for name in sorted(pred)]
-
-
-def _confusion_of(pairs: list[tuple[Path, Path]]) -> np.ndarray:
-    """Confusion summed over (predicted, truth) mask files; two masks of different
-    shapes are a DataMismatchError naming both files."""
-    counts = np.zeros((NUM_CLASSES, NUM_CLASSES), dtype=np.int64)
-    for pred_path, truth_path in pairs:
-        pred, truth = read_mask(pred_path), read_mask(truth_path)
-        if pred.shape != truth.shape:
-            raise DataMismatchError(f"{pred_path} is {pred.shape}, {truth_path} is {truth.shape}")
-        counts += confusion(pred, truth)
-    return counts
+    _refuse_overwrite([args.out], [*inputs, *pred.values(), *filter(None, truth.values())])
+    pixels, counts = 0, np.zeros((NUM_CLASSES, NUM_CLASSES), dtype=np.int64)
+    for name, pred_path in sorted(pred.items()):
+        mask, truth_path = read_mask(pred_path), truth[name]
+        pixels += count_class_pixels([mask], 1)
+        if truth_path is not None:
+            truth_mask = read_mask(truth_path)
+            if mask.shape != truth_mask.shape:
+                raise DataMismatchError(f"{pred_path} is {mask.shape}, {truth_path} is {truth_mask.shape}")
+            counts += confusion(mask, truth_mask)
+    return pixels, counts
 
 
 def cmd_evaluate(args) -> int:
-    pairs = _paired_masks(Path(args.pred), Path(args.truth))
-    _refuse_overwrite([args.out], [path for pair in pairs for path in pair])
-    counts = _confusion_of(pairs)
+    _, counts = _score(args)
     cells = _quality_cells(counts)
     print("confusion (rows true class, columns predicted):")
     for row in counts:
@@ -170,16 +169,9 @@ def cmd_evaluate(args) -> int:
 
 def cmd_volumetry(args) -> int:
     pixels_m, v_m = read_reference(Path(args.reference))
-    if args.truth is None:
-        pairs = [(p, None) for p in _mask_files(Path(args.pred))]
-    else:
-        pairs = _paired_masks(Path(args.pred), Path(args.truth))
-    inputs = [Path(args.reference)] + [path for pair in pairs for path in pair if path is not None]
-    _refuse_overwrite([args.out], inputs)
-    pixels_c = count_class_pixels((read_mask(p) for p, _ in pairs), 1)
+    pixels_c, counts = _score(args, Path(args.reference))
     report = calibrate_volume(pixels_c, pixels_m, v_m)
-    counts = None if args.truth is None else _confusion_of(pairs)
-    write_report(report, counts, args.out)
+    write_report(report, None if args.truth is None else counts, args.out)
     print(f"bone pixels (predicted): {report.pixels_c}")
     print(f"bone pixels (reference): {report.pixels_m}")
     print(f"V_M = {report.v_m:.2f} mm^3")

@@ -39,11 +39,18 @@ ANNULUS_OUTER_FRACTION = 0.45
 MANIFEST_NAME = "manifest.txt"
 
 
+def _labels_ok(labels: np.ndarray) -> bool:
+    """Whether every element is a label; min and max give np.isin's answer, faster, for integer and bool dtypes."""
+    if labels.dtype.kind in "biu" and labels.size:
+        return bool(labels.min() >= 0 and labels.max() < NUM_CLASSES)
+    return bool(np.isin(labels, range(NUM_CLASSES)).all())
+
+
 def validate_mask(mask: np.ndarray) -> np.ndarray:
     mask = np.asarray(mask)
     if mask.ndim != 2:
         raise ValidationError(f"mask must be 2-d, got shape {mask.shape}")
-    if mask.size and not np.isin(mask, range(NUM_CLASSES)).all():
+    if not _labels_ok(mask):
         raise ValidationError(f"mask contains labels outside {set(range(NUM_CLASSES))}")
     return mask.astype(np.uint8)
 
@@ -167,25 +174,24 @@ class DatasetSplit:
     validation: list
 
 
-def split_dataset(pairs: list, rule="paper_95_5", seed: int = 0) -> DatasetSplit:
-    """Seeded shuffle split; rule is "paper_95_5" or a validation fraction.
+def _split_fraction(rule) -> float:
+    """A split rule's validation fraction, checked as far as it can be without the pair count."""
+    try:
+        frac = 0.05 if rule == "paper_95_5" else float(rule)
+    except (TypeError, ValueError):
+        raise ValidationError(f"split rule must be 'paper_95_5' or a fraction, got {rule!r}") from None
+    if not 0.0 < frac < 1.0:
+        raise ValidationError(f"validation fraction must be in (0, 1), got {frac}")
+    return frac
 
-    paper_95_5 holds out 5% (exactly 5 of 100); a float fraction rounds to
-    the nearest count, at least 1.
-    """
+
+def split_dataset(pairs: list, rule="paper_95_5", seed: int = 0) -> DatasetSplit:
+    """Seeded shuffle split; rule is "paper_95_5" (exactly 5 of 100 held out) or a validation
+    fraction in (0, 1), whose held-out count rounds to the nearest, at least 1."""
     n = len(pairs)
     if n < 2:
         raise ValidationError(f"need at least 2 pairs to split, got {n}")
-    if rule == "paper_95_5":
-        frac = 0.05
-    else:
-        try:
-            frac = float(rule)
-        except (TypeError, ValueError):
-            raise ValidationError(f"split rule must be 'paper_95_5' or a fraction, got {rule!r}") from None
-        if not 0.0 < frac < 1.0:
-            raise ValidationError(f"validation fraction must be in (0, 1), got {frac}")
-    n_val = max(1, round(frac * n))
+    n_val = max(1, round(_split_fraction(rule) * n))
     if n_val >= n:
         raise ValidationError(f"validation count {n_val} leaves no training items (n={n})")
     perm = np.random.default_rng(seed).permutation(n)
@@ -333,6 +339,11 @@ def _read_pairs(path, error) -> dict[str, tuple[int, str]]:
     return pairs
 
 
+def _pgm_files(directory) -> list[Path]:
+    """The sorted regular `*.pgm` files of `directory`: the mask set that every reader of it takes."""
+    return sorted(p for p in Path(directory).glob("*.pgm") if p.is_file())
+
+
 def _refuse_overwrite(outputs, inputs, dirs=()) -> None:
     """Before anything is written: ValidationError if an output is an input or repeats another output, or if
     one of `dirs` holds a .pgm that is no output, which every reader of the directory would take as one."""
@@ -343,7 +354,7 @@ def _refuse_overwrite(outputs, inputs, dirs=()) -> None:
             raise ValidationError(f"writing {out} would overwrite {taken[path]}")
         taken[path] = "another output of the same command"
         written.add(path)
-    for stray in (p for d in dirs for p in sorted(Path(d).glob("*.pgm")) if p.is_file()):
+    for stray in (p for d in dirs for p in _pgm_files(d)):
         if stray.resolve() not in written:
             raise ValidationError(f"{stray} is no output of this command but would sit among them; move it away")
 

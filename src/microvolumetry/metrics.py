@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _read_pairs, _write_atomic
+from .data import _labels_ok, _read_pairs, _write_atomic
 from .errors import ShapeError, ValidationError
 from .tensor import NUM_CLASSES
 
@@ -33,7 +33,7 @@ def confusion(pred, truth) -> np.ndarray:
     pred, truth = _as_stack(pred), _as_stack(truth)
     if pred.shape != truth.shape:
         raise ShapeError(f"pred stack {pred.shape} != truth stack {truth.shape}")
-    if pred.size and (pred.max() >= NUM_CLASSES or truth.max() >= NUM_CLASSES):
+    if not (_labels_ok(pred) and _labels_ok(truth)):
         raise ValidationError("mask labels must lie in {0, 1, 2}")
     joint = truth.astype(np.int64).ravel() * NUM_CLASSES + pred.astype(np.int64).ravel()
     return np.bincount(joint, minlength=NUM_CLASSES**2).reshape(NUM_CLASSES, NUM_CLASSES)

@@ -19,6 +19,7 @@ from .data import (
     _read_image,
     _read_pairs,
     _refuse_overwrite,
+    _split_fraction,
     _write_atomic,
     encode_one_hot,
     load_manifest,
@@ -61,6 +62,7 @@ class RunConfig(UNetConfig):
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if not self.dataset:
             raise ValidationError("config must set 'dataset'")
+        _split_fraction(self.split)  # before any dataset file is read
         for name in ("lr", "epsilon"):
             if not 0.0 < getattr(self, name) < np.inf:
                 raise ValidationError(f"{name} must be finite and > 0, got {getattr(self, name)}")

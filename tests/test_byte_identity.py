@@ -24,8 +24,9 @@ def expected_rows() -> list[str]:
             rows.append(f"conv.k{k}.s{stride}.p{p}.{dtype}.forward")
             if stride == 1:
                 rows.append(f"conv.k{k}.s{stride}.p{p}.{dtype}.backward")
-    return rows + [f"{kind}.{dtype}.{way}" for kind in ("tconv", "pool")
-                   for dtype in ("float64", "float32") for way in ("forward", "backward")]
+    rows += [f"{kind}.{dtype}.{way}" for kind in ("tconv", "pool")
+             for dtype in ("float64", "float32") for way in ("forward", "backward")]
+    return rows + ["score.evaluate_csv", "score.volumetry_csv", "score.volumetry_no_truth_csv"]
 
 
 def test_prints_a_distinct_sha256_for_every_row():

@@ -48,6 +48,18 @@ def error_line(capsys) -> str:
     return err[0]
 
 
+def counted_reads(monkeypatch) -> list:
+    """The paths that microvolumetry.data.read_pgm reads from now on, one entry per call."""
+    reads, read_pgm = [], mv.data.read_pgm
+
+    def counted(path, *args, **kwargs):
+        reads.append(Path(path))
+        return read_pgm(path, *args, **kwargs)
+
+    monkeypatch.setattr(mv.data, "read_pgm", counted)
+    return reads
+
+
 def non_utf8_manifest_copy(data, out):
     """A copy of the dataset `data` whose manifest is not UTF-8."""
     shutil.copytree(data, out)
@@ -198,6 +210,25 @@ class TestTrain:
         )
         assert main(["train", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+    # each was accepted, and train read all 10 files of the dataset before split_dataset refused it
+    @pytest.mark.parametrize("split, message", [
+        ("abc", "split rule must be 'paper_95_5' or a fraction, got 'abc'"),
+        ("1.5", "validation fraction must be in (0, 1), got 1.5"),
+        ("nan", "validation fraction must be in (0, 1), got nan"),
+    ])
+    def test_malformed_split_exits_2_before_reading_a_file(self, trained, tmp_path, capsys,
+                                                           monkeypatch, split, message):
+        cfg = write_config(
+            tmp_path / "run.cfg", dataset=str(trained / "data"),
+            checkpoint=str(tmp_path / "model.ckpt"), metrics=str(tmp_path / "metrics.csv"),
+            depth=1, base_channels=2, input_size=16, epochs=1, split=split,
+        )
+        reads = counted_reads(monkeypatch)
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert error_line(capsys) == f"error: {message}"
+        assert reads == []
         assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
     def test_zero_epochs_exits_2(self, tmp_path):
@@ -658,6 +689,43 @@ class TestVolumetry:
                      "--reference", str(tmp_path / "no.txt"),
                      "--out", str(tmp_path / "vol.csv")])
         assert code == 3
+
+
+class TestScoring:
+    # volumetry --truth read each prediction twice: 3 reads per slice
+    @pytest.mark.parametrize("command, with_truth", [
+        ("evaluate", True), ("volumetry", True), ("volumetry", False),
+    ], ids=["evaluate", "volumetry-truth", "volumetry"])
+    def test_each_mask_file_is_read_once(self, trained, tmp_path, monkeypatch, capsys, command,
+                                         with_truth):
+        truth = trained / "data" / "masks"
+        pred = shutil.copytree(truth, tmp_path / "pred")
+        argv = [command, "--pred", str(pred), "--out", str(tmp_path / "out.csv")]
+        if with_truth:
+            argv += ["--truth", str(truth)]
+        if command == "volumetry":
+            argv += ["--reference", str(write_reference(tmp_path / "ref.txt", pixels=1000, volume="10.0"))]
+        reads = counted_reads(monkeypatch)
+        assert main(argv) == 0
+        expected = sorted(pred.glob("*.pgm")) + (sorted(truth.glob("*.pgm")) if with_truth else [])
+        assert len(expected) == 5 * (1 + with_truth)
+        assert sorted(reads) == sorted(expected)
+
+    # volumetry read every prediction before any truth mask, so b.pgm's bad magic exited 4
+    def test_the_first_bad_file_in_name_order_decides_the_error(self, tmp_path, capsys):
+        pred, truth = tmp_path / "pred", tmp_path / "truth"
+        for directory in (pred, truth):
+            directory.mkdir()
+            for name in ("a.pgm", "b.pgm"):
+                mv.write_pgm(np.zeros((4, 4), dtype=np.uint8), directory / name)
+        (truth / "a.pgm").write_bytes(b"P5\n4 4\n2\n" + bytes(15) + b"\x03")
+        (pred / "b.pgm").write_bytes(b"P6\n4 4\n2\n" + bytes(16))
+        ref = write_reference(tmp_path / "ref.txt", pixels=1000, volume="10.0")
+        code = main(["volumetry", "--pred", str(pred), "--truth", str(truth),
+                     "--reference", str(ref), "--out", str(tmp_path / "vol.csv")])
+        assert code == 2
+        assert error_line(capsys) == f"error: {truth / 'a.pgm'}: mask contains labels outside {{0, 1, 2}}"
+        assert not (tmp_path / "vol.csv").exists()
 
 
 class TestParser:

@@ -1,6 +1,7 @@
 import errno
 import io
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -117,6 +118,14 @@ class TestOneHot:
     def test_rejects_foreign_labels(self):
         with pytest.raises(ValidationError):
             mv.encode_one_hot(np.array([[0, 3]], dtype=np.uint8))
+
+    @pytest.mark.parametrize("dtype", [bool, np.int8, np.uint8, np.uint16, np.int64, np.float32, np.float64])
+    def test_label_check_gives_isin_answer_for_every_dtype(self, dtype):
+        for values in ([0, 1, 2], [0, 3], [-1, 1], [0.5, 1], [2.0, 0.0], [np.nan], [255], []):
+            with np.errstate(invalid="ignore", over="ignore"), warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # a cast that wraps or makes NaN an integer
+                labels = np.array(values).astype(dtype)
+            assert data_mod._labels_ok(labels) == np.isin(labels, range(3)).all(), (dtype, values)
 
 
 class TestSplit:

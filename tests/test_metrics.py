@@ -44,6 +44,14 @@ class TestConfusion:
         with pytest.raises(ValidationError):
             mv.confusion(np.array([[0, 3]], dtype=np.uint8), np.zeros((1, 2), dtype=np.uint8))
 
+    # 0.5 was truncated to background and counted; -1 raised numpy's bare ValueError from bincount
+    @pytest.mark.parametrize("pred, truth", [
+        ([[0.5, 1]], [[0, 1]]), ([[-1, 1]], [[0, 1]]), ([[0, 1]], [[0, -1]]),
+    ], ids=["fraction", "negative-pred", "negative-truth"])
+    def test_a_label_outside_0_1_2_is_a_validation_error(self, pred, truth):
+        with pytest.raises(ValidationError):
+            mv.confusion(np.array(pred), np.array(truth))
+
 
 class TestAccuracyAndDice:
     def test_accuracy_values(self):

@@ -27,6 +27,10 @@ Rows:
   row in a chunk of its own; backward rows hash d_input, d_weights and d_bias.
 - pool.{dtype}.{forward,backward}: 2x2 max pooling of (2, 5, 16, 16)
   ReLU'd normals with 3- and 4-way ties, two NaNs and 0.0/-0.0 pairs.
+- score.{evaluate_csv,volumetry_csv,volumetry_no_truth_csv}: the CSVs that
+  `evaluate`, `volumetry --truth` and `volumetry` write for the masks of
+  `gen --count 3 --size 64` against threshold predictions (pixels at or
+  above the bone band's lower edge).
 """
 
 from __future__ import annotations
@@ -62,6 +66,13 @@ def file_digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def run_cli(*argv: str) -> None:
+    with contextlib.redirect_stdout(sys.stderr):  # stdout carries only the rows
+        code = cli.main(list(argv))
+    if code != 0:
+        raise SystemExit(f"{argv[0]} exited {code}")
+
+
 def train_rows(tmp: Path):
     data = tmp / "data"
     mv.make_dataset(data, 12, mv.PhantomSpec(size=64), seed=5)
@@ -82,11 +93,7 @@ def paper_rows(tmp: Path):
     images.mkdir()
     image, _ = mv.generate_phantom(mv.PhantomSpec(size=config.input_size, seed=9))
     mv.write_pgm(image, images / "slice.pgm")
-    with contextlib.redirect_stdout(sys.stderr):  # stdout carries only the rows
-        code = cli.main(["predict", "--checkpoint", str(checkpoint),
-                         "--images", str(images), "--out", str(masks)])
-    if code != 0:
-        raise SystemExit(f"predict exited {code}")
+    run_cli("predict", "--checkpoint", str(checkpoint), "--images", str(images), "--out", str(masks))
     yield "paper.predict_mask", file_digest(masks / "slice.pgm")
 
 
@@ -159,11 +166,27 @@ def pool_rows():
         yield f"{name}.backward", digest(mv.maxpool2_backward(xd, dd))
 
 
+def score_rows(tmp: Path):
+    data, pred, reference = tmp / "score", tmp / "score_pred", tmp / "reference.txt"
+    run_cli("gen", "--out", str(data), "--count", "3", "--size", "64")
+    pred.mkdir()
+    for image_path in sorted((data / "images").glob("*.pgm")):
+        image = mv.read_pgm(image_path)
+        mv.write_pgm((image / mv.data.MAXVAL >= mv.data.BONE_BAND[0]).astype(np.uint8), pred / image_path.name)
+    reference.write_text("pixels_M=1000\nV_M_mm3=2.5\n", encoding="utf-8")
+    truth = ["--truth", str(data / "masks")]
+    for name, argv in (("evaluate_csv", ["evaluate", *truth]),
+                       ("volumetry_csv", ["volumetry", "--reference", str(reference), *truth]),
+                       ("volumetry_no_truth_csv", ["volumetry", "--reference", str(reference)])):
+        run_cli(*argv, "--pred", str(pred), "--out", str(tmp / f"{name}.csv"))
+        yield f"score.{name}", file_digest(tmp / f"{name}.csv")
+
+
 def main() -> int:
     print(f"package: {Path(mv.__file__).parent}", file=sys.stderr)
     with tempfile.TemporaryDirectory() as tmp:
         for rows in (train_rows(Path(tmp)), paper_rows(Path(tmp)), conv_rows(), tconv_rows(),
-                     pool_rows()):
+                     pool_rows(), score_rows(Path(tmp))):
             for name, sha in rows:
                 print(f"{sha}  {name}", flush=True)
     return 0
